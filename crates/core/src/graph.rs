@@ -12,6 +12,7 @@ use mitos_ir::{BlockId, VarId};
 use mitos_lang::{Expr, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Index of a logical operator (dataflow node).
@@ -406,24 +407,27 @@ impl LogicalGraph {
         }
     }
 
-    /// Destination instances for an element sent by `src_inst` over `edge`.
-    /// For `Hash`, the instance is determined by the element key.
+    /// Destination instances for an element sent by `src_inst` over `edge`,
+    /// as a contiguous range (one instance, or all of them for `Broadcast`),
+    /// so routing an element allocates nothing. For `Hash`, the instance is
+    /// determined by the element key.
     pub fn route(
         &self,
         edge: EdgeId,
         src_inst: u16,
         key: Option<&Value>,
         machines: u16,
-    ) -> Vec<u16> {
+    ) -> Range<u16> {
         let e = &self.edges[edge as usize];
         let dst_n = self.instances(e.dst, machines);
+        let one = |d: u16| d..d + 1;
         match e.partitioning {
-            Partitioning::Forward => vec![src_inst.min(dst_n - 1)],
-            Partitioning::Gather => vec![0],
-            Partitioning::Broadcast => (0..dst_n).collect(),
+            Partitioning::Forward => one(src_inst.min(dst_n - 1)),
+            Partitioning::Gather => one(0),
+            Partitioning::Broadcast => 0..dst_n,
             Partitioning::Hash => {
                 let key = key.expect("hash routing needs a key");
-                vec![(stable_hash(key) % dst_n as u64) as u16]
+                one((stable_hash(key) % dst_n as u64) as u16)
             }
         }
     }
@@ -628,7 +632,7 @@ mod tests {
             let key = Value::I64(k);
             let dsts = g.route(edge, 0, Some(&key), machines);
             assert_eq!(dsts.len(), 1);
-            assert!(dsts[0] < machines);
+            assert!(dsts.start < machines);
             // Same key always routes the same way.
             assert_eq!(dsts, g.route(edge, 2, Some(&key), machines));
         }
@@ -643,7 +647,7 @@ mod tests {
             .iter()
             .position(|e| e.dst == filter_id && e.dst_input == 1)
             .unwrap() as EdgeId;
-        assert_eq!(g.route(edge, 0, None, 3), vec![0, 1, 2]);
+        assert_eq!(g.route(edge, 0, None, 3), 0..3);
     }
 
     #[test]

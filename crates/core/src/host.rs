@@ -1230,10 +1230,10 @@ impl Host {
     }
 
     /// Runs a batch through every stage of a fused chain in one pass,
-    /// batch-in/batch-out: each element-wise stage is the shared columnar
-    /// kernel ([`kernel::map`] / [`kernel::flat_map`] / [`kernel::filter`]),
-    /// so monomorphic runs stream through without per-element enum
-    /// dispatch. The per-element traversal base is charged once for the
+    /// batch-in/batch-out: each element-wise stage is the shared kernel
+    /// ([`kernel::map`] / [`kernel::flat_map`] / [`kernel::filter`]), and
+    /// the rows move from stage to stage without conversion. The
+    /// per-element traversal base is charged once for the
     /// whole chain (that is fusion's compute win); each stage then pays
     /// only for its own lambda.
     fn fused_transform(
@@ -1321,9 +1321,9 @@ impl Host {
         let cost = self.shared.config.cost;
         let captured = self.current.as_ref().expect("active").captured.clone();
         match &kind {
-            // The element-wise transforms run through the shared columnar
-            // kernels: one layout dispatch per run instead of one enum
-            // inspection per element.
+            // The element-wise transforms run through the shared kernels;
+            // wrapping the rows in a batch and unwrapping the result are
+            // moves.
             NodeKind::Map { expr } => {
                 out.net
                     .charge(cost.eval_cost(expr.node_count(), elems.len()));
@@ -1669,8 +1669,7 @@ impl Host {
         }
         out.net.charge(cost.ser_cost(elems.len() * n_edges));
         for ei in 0..n_edges {
-            let edge = self.out_edge_ids[ei];
-            // Route first (immutable), then update state.
+            // Read the edge's send state first (immutable), then update it.
             enum Action {
                 Skip,
                 Buffer,
@@ -1698,47 +1697,38 @@ impl Host {
                         buffer.extend(elems.iter().cloned());
                     }
                 }
-                Action::Ship => {
-                    let routed = self.route_elems(edge, &elems);
-                    if let EdgeSend::Streaming {
-                        counts, pending, ..
-                    } = &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
-                    {
-                        for (d, vs) in routed {
-                            counts[d as usize] += vs.len() as u32;
-                            pending[d as usize].extend(vs);
-                        }
-                    }
-                    self.flush_pending(bag_len, ei, out);
-                }
+                Action::Ship => self.route_and_flush(bag_len, ei, &elems, out),
             }
         }
         Ok(())
     }
 
-    /// Partitions elements over the edge's destination instances.
-    fn route_elems(&self, edge: EdgeId, elems: &[Value]) -> Vec<(u16, Vec<Value>)> {
-        let mut routed: Vec<(u16, Vec<Value>)> = Vec::new();
-        for v in elems {
-            for d in self
-                .shared
-                .graph
-                .route(edge, self.inst, Some(v.key()), self.shared.machines)
-            {
-                match routed.iter_mut().find(|(dd, _)| *dd == d) {
-                    Some((_, vs)) => vs.push(v.clone()),
-                    None => routed.push((d, vec![v.clone()])),
+    /// Partitions elements of a streaming edge over its destination
+    /// instances, appending each to that instance's pending buffer (in
+    /// element order) and counting it, then ships every full batch.
+    fn route_and_flush(&mut self, bag_len: u32, ei: usize, elems: &[Value], out: &mut HostOut) {
+        let edge = self.out_edge_ids[ei];
+        let graph = &self.shared.graph;
+        let (inst, machines) = (self.inst, self.shared.machines);
+        if let EdgeSend::Streaming {
+            counts, pending, ..
+        } = &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
+        {
+            for v in elems {
+                for d in graph.route(edge, inst, Some(v.key()), machines) {
+                    counts[d as usize] += 1;
+                    pending[d as usize].push(v.clone());
                 }
             }
         }
-        routed
+        self.flush_pending(bag_len, ei, out);
     }
 
-    /// Chunks routed elements into columnar [`Batch`]es of at most
-    /// `cost.batch_elems` elements and ships each as one [`Msg::Data`],
-    /// charging the batch's **actual encoded wire size** (or the legacy
-    /// estimate under the `MITOS_BATCH_OFF` kill switch — see
-    /// [`batch_wire_bytes`]) to the network and the flow registry.
+    /// Ships routed elements as [`Batch`]es of at most `cost.batch_elems`
+    /// elements, each as one [`Msg::Data`], charging the batch's **actual
+    /// encoded wire size** (or the legacy estimate under the
+    /// `MITOS_BATCH_OFF` kill switch — see [`batch_wire_bytes`]) to the
+    /// network and the flow registry.
     fn send_batches(
         &self,
         edge: EdgeId,
@@ -1750,8 +1740,9 @@ impl Host {
         let dst = self.shared.graph.edges[edge as usize].dst;
         let machine = self.shared.graph.placement(dst, dst_inst);
         let max_elems = self.shared.config.cost.batch_elems.max(1);
-        for chunk in elems.chunks(max_elems) {
-            let batch = Batch::from_slice(chunk);
+        let mut elems = elems.into_iter();
+        while elems.len() > 0 {
+            let batch: Batch = elems.by_ref().take(max_elems).collect();
             let bytes = self.shared.config.cost.wire_bytes(batch_wire_bytes(&batch));
             self.shared
                 .flow
@@ -1944,20 +1935,9 @@ impl Host {
             }
         }
         for (bag_len, ei, buffered) in to_flush {
-            let edge = self.out_edge_ids[ei];
             out.net
                 .charge(self.shared.config.cost.ser_cost(buffered.len()));
-            let routed = self.route_elems(edge, &buffered);
-            if let EdgeSend::Streaming {
-                counts, pending, ..
-            } = &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
-            {
-                for (d, vs) in routed {
-                    counts[d as usize] += vs.len() as u32;
-                    pending[d as usize].extend(vs);
-                }
-            }
-            self.flush_pending(bag_len, ei, out);
+            self.route_and_flush(bag_len, ei, &buffered, out);
         }
         if resolved_any {
             let lens: Vec<u32> = self
@@ -1997,8 +1977,8 @@ impl Host {
         if let Some(outbag) = self.outbags.get_mut(&bag_len) {
             if let EdgeSend::Streaming { pending, .. } = &mut outbag.edges[ei] {
                 for (d, buf) in pending.iter_mut().enumerate() {
-                    while buf.len() >= max_elems {
-                        let rest = buf.split_off(max_elems);
+                    if buf.len() >= max_elems {
+                        let rest = buf.split_off(buf.len() - buf.len() % max_elems);
                         ship.push((d as u16, std::mem::replace(buf, rest)));
                     }
                 }

@@ -260,10 +260,10 @@ pub enum Msg {
         /// derived from protocol coordinates, never a clock.
         ctx: crate::obs::span::SpanCtx,
     },
-    /// A batch of bag elements on a physical edge, carried in the typed
-    /// columnar [`Batch`] container (see [`mitos_lang::batch`]); the wire
-    /// cost charged for this message is the batch's actual length-delimited
-    /// encoded size, not a per-element estimate.
+    /// A batch of bag elements on a physical edge, carried as rows in a
+    /// [`Batch`] (see [`mitos_lang::batch`]); the wire cost charged for this
+    /// message is the size of the batch's columnar encoding, not a
+    /// per-element estimate.
     Data {
         /// Logical edge.
         edge: EdgeId,
@@ -271,7 +271,7 @@ pub enum Msg {
         dst_inst: u16,
         /// Bag identifier length (the producer is implied by the edge).
         bag_len: u32,
-        /// The elements, in columnar runs.
+        /// The elements.
         batch: Batch,
     },
     /// End-of-bag punctuation from one sender instance, with the number of
@@ -397,9 +397,9 @@ impl std::error::Error for RuntimeError {}
 
 /// Legacy estimated wire size of a batch of values: a fixed 16-byte header
 /// plus per-element [`Value::estimated_bytes`]. Retained as the byte
-/// accounting used when the columnar encoding is disabled via the
-/// `MITOS_BATCH_OFF` kill switch (see [`mitos_lang::batch::batch_off`]);
-/// normal runs charge [`Batch::encoded_len`] instead.
+/// accounting selected by `MITOS_BATCH_OFF` (see
+/// [`mitos_lang::batch::batch_off`]); normal runs charge
+/// [`Batch::encoded_len`] instead.
 pub fn batch_bytes(elems: &[Value]) -> u64 {
     16 + elems.iter().map(Value::estimated_bytes).sum::<u64>()
 }

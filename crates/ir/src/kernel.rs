@@ -6,12 +6,10 @@
 //! operators are property-tested against them.
 //!
 //! The element-wise transforms ([`map`], [`flat_map`], [`filter`]) are
-//! **batch-in/batch-out**: they take a typed columnar [`Batch`] and return
-//! one, dispatching on the storage layout once per run (via
-//! [`Batch::try_for_each`]) so monomorphic columns stream through without
-//! per-element enum inspection of the input. The keyed/aggregating kernels
-//! keep their slice signatures — their cost is dominated by hashing, not
-//! container shape.
+//! **batch-in/batch-out**: they take a [`Batch`] of rows and return one,
+//! walking the rows directly (a batch is columnar only on the wire, see
+//! [`mitos_lang::batch`]). The keyed/aggregating kernels keep their slice
+//! signatures — their cost is dominated by hashing, not container shape.
 
 use mitos_lang::expr::{eval, Expr};
 use mitos_lang::{Batch, Value};
@@ -50,66 +48,63 @@ impl From<mitos_lang::EvalError> for KernelError {
 }
 
 /// `map`: applies `expr($0 = element, $1.. = captured)` to each element of
-/// the batch, re-columnarizing the results as it goes.
+/// the batch.
 pub fn map(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
-    let mut params = Vec::with_capacity(1 + captured.len());
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v;
+    let mut params = lambda_params(captured);
+    let mut out = Vec::with_capacity(input.len());
+    for v in input.iter() {
+        params[0] = v.clone();
         out.push(eval(expr, &params)?);
-        Ok::<(), KernelError>(())
-    })?;
-    Ok(out)
+    }
+    Ok(Batch::from_values(out))
 }
 
 /// `flatMap`: like [`map`], but each result must be a list, which is
 /// flattened into the output batch.
 pub fn flat_map(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
-    let mut params = Vec::with_capacity(1 + captured.len());
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v;
+    let mut params = lambda_params(captured);
+    let mut out = Vec::new();
+    for v in input.iter() {
+        params[0] = v.clone();
         let result = eval(expr, &params)?;
         match result.as_list() {
-            Some(elems) => {
-                for e in elems {
-                    out.push(e.clone());
-                }
-                Ok(())
+            Some(elems) => out.extend_from_slice(elems),
+            None => {
+                return Err(KernelError::new(format!(
+                    "flatMap lambda must return a list, got {result:?}"
+                )))
             }
-            None => Err(KernelError::new(format!(
-                "flatMap lambda must return a list, got {result:?}"
-            ))),
         }
-    })?;
-    Ok(out)
+    }
+    Ok(Batch::from_values(out))
 }
 
-/// `filter`: keeps elements whose predicate evaluates to `true`, so
-/// surviving runs stay columnar.
+/// `filter`: keeps elements whose predicate evaluates to `true`.
 pub fn filter(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
+    let mut params = lambda_params(captured);
+    let mut out = Vec::new();
+    for v in input.iter() {
+        params[0] = v.clone();
+        match eval(expr, &params)? {
+            Value::Bool(true) => out.push(std::mem::replace(&mut params[0], Value::Unit)),
+            Value::Bool(false) => {}
+            other => {
+                return Err(KernelError::new(format!(
+                    "filter predicate must return bool, got {other:?}"
+                )))
+            }
+        }
+    }
+    Ok(Batch::from_values(out))
+}
+
+/// The lambda parameter vector `[element, captured..]`, with the element
+/// slot to be filled per row.
+fn lambda_params(captured: &[Value]) -> Vec<Value> {
     let mut params = Vec::with_capacity(1 + captured.len());
     params.push(Value::Unit);
     params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v.clone();
-        match eval(expr, &params)? {
-            Value::Bool(true) => {
-                out.push(v);
-                Ok(())
-            }
-            Value::Bool(false) => Ok(()),
-            other => Err(KernelError::new(format!(
-                "filter predicate must return bool, got {other:?}"
-            ))),
-        }
-    })?;
-    Ok(out)
+    params
 }
 
 /// The non-key payload of a join element: the tail fields of a tuple, or

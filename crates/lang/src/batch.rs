@@ -1,234 +1,48 @@
-//! Typed columnar batches: the unit of data-plane exchange.
+//! Batches: the unit of data-plane exchange — rows in memory, columnar
+//! encoding on the wire.
 //!
-//! A [`Batch`] holds a sequence of [`Value`]s as *columnar runs*:
-//! consecutive elements of the same scalar type (`I64`, `F64`, `Bool`,
-//! `Str`) are stored in a typed column with no per-element enum tag, and
-//! consecutive tuples of the same arity are stored as one column per
-//! field (each column itself typed, degrading to a mixed column when a
-//! field's type varies). Everything else — units, lists, empty tuples,
-//! type changes mid-stream — falls back to a row run of plain [`Value`]s,
-//! so a batch can always represent any value sequence exactly.
+//! In memory a [`Batch`] is a plain sequence of [`Value`] rows, so building
+//! one from a vector, reading it back, and handing it from one operator to
+//! the next are moves, and the element-wise kernels walk the rows directly.
 //!
-//! Batches also define the data plane's *wire format*: a compact
-//! length-delimited encoding ([`Batch::encode`] / [`Batch::decode`]) whose
-//! size ([`Batch::encoded_len`]) is what the runtime charges as real
-//! network bytes, replacing the old per-element in-memory estimate. The
-//! encoding round-trips bit-exactly (float columns are stored as raw bit
-//! patterns, so NaN payloads and signed zeros survive).
+//! The columnar layout exists only inside the wire codec
+//! ([`Batch::encode`] / [`Batch::decode`]). The encoder splits the rows into
+//! runs:
 //!
+//! * consecutive scalars of one type (`I64`, `F64`, `Bool`, `Str`) form a
+//!   typed column with no per-element tag;
+//! * consecutive tuples of one arity (1 to 255 fields) form one column per
+//!   field, typed by the run's first element and degrading to a tagged
+//!   mixed column when that field's type varies within the run;
+//! * everything else — units, lists, empty tuples, tuples wider than 255
+//!   fields — goes to a row run of tagged values, so any value sequence
+//!   encodes exactly.
+//!
+//! On the wire a batch is `u32 run_count` followed by the runs; a run is
+//! `u8 run_tag, u32 count` and then its body (one column for a scalar run,
+//! `u8 arity` and one column per field for a tuple run, `count` tagged
+//! values for a row run); a column is `u8 column_tag` and its data. All
+//! integers are little-endian. Floats travel as raw bit patterns, so NaN
+//! payloads and signed zeros survive the round trip.
+//!
+//! [`Batch::encoded_len`] computes the exact encoded size from the rows
+//! without allocating; it is what the runtime charges as network bytes.
 //! Setting the `MITOS_BATCH_OFF` environment variable (read once per
-//! process) disables the columnar builder — every batch then uses the row
-//! fallback, and the runtime falls back to the legacy estimated byte
-//! accounting — which gives an A/B kill switch for the whole encoding
-//! path. Outputs are identical either way; only byte accounting (and thus
-//! simulated network timing) differs.
+//! process) only switches that accounting back to the legacy per-element
+//! estimate ([`Batch::estimated_bytes`]); batches, their encoding and the
+//! computed outputs are the same either way.
 
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-/// Returns true when `MITOS_BATCH_OFF` is set: the columnar builder and
-/// the real wire-byte accounting are disabled for A/B comparison runs.
+/// Returns true when `MITOS_BATCH_OFF` is set: the runtime then charges the
+/// legacy estimated wire bytes instead of the exact encoded size, for A/B
+/// comparison runs.
 pub fn batch_off() -> bool {
     static OFF: OnceLock<bool> = OnceLock::new();
     *OFF.get_or_init(|| std::env::var_os("MITOS_BATCH_OFF").is_some())
-}
-
-/// A typed scalar column (one tuple field, or a top-level scalar run).
-#[derive(Clone, Debug)]
-enum Col {
-    /// 64-bit integers, no per-element tag.
-    I64(Vec<i64>),
-    /// 64-bit floats; encoded as raw bit patterns for exact round-trips.
-    F64(Vec<f64>),
-    /// Booleans, one byte each on the wire.
-    Bool(Vec<bool>),
-    /// Interned strings.
-    Str(Vec<Arc<str>>),
-    /// Fallback for fields whose type varies (or is nested).
-    Mixed(Vec<Value>),
-}
-
-impl Col {
-    fn new_for(v: &Value) -> Col {
-        match v {
-            Value::I64(_) => Col::I64(Vec::new()),
-            Value::F64(_) => Col::F64(Vec::new()),
-            Value::Bool(_) => Col::Bool(Vec::new()),
-            Value::Str(_) => Col::Str(Vec::new()),
-            _ => Col::Mixed(Vec::new()),
-        }
-    }
-
-    /// Appends `v`, degrading to [`Col::Mixed`] on a type mismatch.
-    fn push(&mut self, v: &Value) {
-        match (&mut *self, v) {
-            (Col::I64(xs), Value::I64(x)) => xs.push(*x),
-            (Col::F64(xs), Value::F64(x)) => xs.push(*x),
-            (Col::Bool(xs), Value::Bool(x)) => xs.push(*x),
-            (Col::Str(xs), Value::Str(x)) => xs.push(x.clone()),
-            (Col::Mixed(xs), v) => xs.push(v.clone()),
-            _ => {
-                let mut rows = self.drain_values();
-                rows.push(v.clone());
-                *self = Col::Mixed(rows);
-            }
-        }
-    }
-
-    fn drain_values(&mut self) -> Vec<Value> {
-        match std::mem::replace(self, Col::Mixed(Vec::new())) {
-            Col::I64(xs) => xs.into_iter().map(Value::I64).collect(),
-            Col::F64(xs) => xs.into_iter().map(Value::F64).collect(),
-            Col::Bool(xs) => xs.into_iter().map(Value::Bool).collect(),
-            Col::Str(xs) => xs.into_iter().map(Value::Str).collect(),
-            Col::Mixed(xs) => xs,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Col::I64(xs) => xs.len(),
-            Col::F64(xs) => xs.len(),
-            Col::Bool(xs) => xs.len(),
-            Col::Str(xs) => xs.len(),
-            Col::Mixed(xs) => xs.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> Value {
-        match self {
-            Col::I64(xs) => Value::I64(xs[i]),
-            Col::F64(xs) => Value::F64(xs[i]),
-            Col::Bool(xs) => Value::Bool(xs[i]),
-            Col::Str(xs) => Value::Str(xs[i].clone()),
-            Col::Mixed(xs) => xs[i].clone(),
-        }
-    }
-
-    /// Sum of the legacy in-memory size estimates of the column's values
-    /// (see [`Value::estimated_bytes`]).
-    fn estimated_bytes(&self) -> u64 {
-        match self {
-            Col::I64(xs) => 8 * xs.len() as u64,
-            Col::F64(xs) => 8 * xs.len() as u64,
-            Col::Bool(xs) => xs.len() as u64,
-            Col::Str(xs) => xs.iter().map(|s| 8 + s.len() as u64).sum(),
-            Col::Mixed(xs) => xs.iter().map(Value::estimated_bytes).sum(),
-        }
-    }
-
-    /// Wire size of the column payload (tag byte + data, count implied by
-    /// the enclosing run header).
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Col::I64(xs) => 8 * xs.len(),
-            Col::F64(xs) => 8 * xs.len(),
-            Col::Bool(xs) => xs.len(),
-            Col::Str(xs) => xs.iter().map(|s| 4 + s.len()).sum(),
-            Col::Mixed(xs) => xs.iter().map(value_encoded_len).sum(),
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Col::I64(xs) => {
-                out.push(COL_I64);
-                for x in xs {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Col::F64(xs) => {
-                out.push(COL_F64);
-                for x in xs {
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-            Col::Bool(xs) => {
-                out.push(COL_BOOL);
-                for x in xs {
-                    out.push(*x as u8);
-                }
-            }
-            Col::Str(xs) => {
-                out.push(COL_STR);
-                for s in xs {
-                    encode_str(s, out);
-                }
-            }
-            Col::Mixed(xs) => {
-                out.push(COL_MIXED);
-                for v in xs {
-                    encode_value(v, out);
-                }
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize, count: usize) -> Result<Col, DecodeError> {
-        let tag = take_u8(buf, pos)?;
-        Ok(match tag {
-            COL_I64 => {
-                let mut xs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    xs.push(i64::from_le_bytes(take_array(buf, pos)?));
-                }
-                Col::I64(xs)
-            }
-            COL_F64 => {
-                let mut xs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    xs.push(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?)));
-                }
-                Col::F64(xs)
-            }
-            COL_BOOL => {
-                let mut xs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    xs.push(take_u8(buf, pos)? != 0);
-                }
-                Col::Bool(xs)
-            }
-            COL_STR => {
-                let mut xs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    xs.push(decode_str(buf, pos)?);
-                }
-                Col::Str(xs)
-            }
-            COL_MIXED => {
-                let mut xs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    xs.push(decode_value(buf, pos, 0)?);
-                }
-                Col::Mixed(xs)
-            }
-            other => return Err(DecodeError::new(format!("unknown column tag {other}"))),
-        })
-    }
-}
-
-/// One homogeneous run of a batch.
-#[derive(Clone, Debug)]
-enum Run {
-    /// A run of same-typed scalars.
-    Scalar(Col),
-    /// A run of tuples sharing one arity, stored one column per field.
-    Tuple { arity: usize, cols: Vec<Col> },
-    /// The mixed-row fallback: plain values (units, lists, empty tuples,
-    /// or whatever broke the preceding run).
-    Rows(Vec<Value>),
-}
-
-impl Run {
-    fn len(&self) -> usize {
-        match self {
-            Run::Scalar(c) => c.len(),
-            Run::Tuple { cols, .. } => cols.first().map_or(0, Col::len),
-            Run::Rows(rows) => rows.len(),
-        }
-    }
 }
 
 /// Run tags on the wire.
@@ -252,20 +66,23 @@ const VAL_STR: u8 = 4;
 const VAL_TUPLE: u8 = 5;
 const VAL_LIST: u8 = 6;
 
+/// Widest tuple encoded as a columnar run: the arity travels as one byte.
+/// Wider tuples take the row fallback.
+const MAX_ARITY: usize = u8::MAX as usize;
+
 /// Nesting bound for decoded tuples/lists, so a hostile or corrupt slab
 /// cannot recurse the decoder off the stack.
 const MAX_DEPTH: u32 = 64;
 
-/// A typed columnar container of [`Value`]s with a compact wire encoding.
+/// A sequence of [`Value`] rows with a compact columnar wire encoding.
 ///
-/// See the [module docs](self) for the layout. Build one with
+/// See the [module docs](self) for the encoding. Build one with
 /// [`Batch::from_values`] (or [`Batch::push`]), read it back with
 /// [`Batch::iter`] / [`Batch::into_values`], and move it across the
 /// network with [`Batch::encode`] / [`Batch::decode`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Batch {
-    runs: Vec<Run>,
-    len: usize,
+    rows: Vec<Value>,
 }
 
 impl Batch {
@@ -274,244 +91,98 @@ impl Batch {
         Batch::default()
     }
 
-    /// Builds a batch from a value sequence, columnarizing runs of
-    /// same-typed values (unless `MITOS_BATCH_OFF` forces the row
-    /// fallback).
+    /// Wraps a value sequence (a move; no per-element work).
     pub fn from_values(values: Vec<Value>) -> Batch {
-        if batch_off() {
-            let len = values.len();
-            let runs = if len == 0 {
-                Vec::new()
-            } else {
-                vec![Run::Rows(values)]
-            };
-            return Batch { runs, len };
-        }
-        let mut b = Batch::new();
-        for v in &values {
-            b.push_ref(v);
-        }
-        b
+        Batch { rows: values }
     }
 
     /// Builds a batch from a slice of values (cloning each).
     pub fn from_slice(values: &[Value]) -> Batch {
-        if batch_off() {
-            return Batch::from_values(values.to_vec());
-        }
-        let mut b = Batch::new();
-        for v in values {
-            b.push_ref(v);
-        }
-        b
+        Batch::from_values(values.to_vec())
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// True when the batch holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
-    /// Appends one value, extending the final run when the type matches.
+    /// Appends one value.
     pub fn push(&mut self, v: Value) {
-        self.push_ref(&v);
+        self.rows.push(v);
     }
 
-    fn push_ref(&mut self, v: &Value) {
-        self.len += 1;
-        if batch_off() {
-            match self.runs.last_mut() {
-                Some(Run::Rows(rows)) => rows.push(v.clone()),
-                _ => self.runs.push(Run::Rows(vec![v.clone()])),
-            }
-            return;
-        }
-        match v {
-            Value::I64(_) | Value::F64(_) | Value::Bool(_) | Value::Str(_) => {
-                if let Some(Run::Scalar(col)) = self.runs.last_mut() {
-                    if col_matches(col, v) {
-                        col.push(v);
-                        return;
-                    }
-                }
-                let mut col = Col::new_for(v);
-                col.push(v);
-                self.runs.push(Run::Scalar(col));
-            }
-            Value::Tuple(fields) if !fields.is_empty() => {
-                if let Some(Run::Tuple { arity, cols }) = self.runs.last_mut() {
-                    if *arity == fields.len() {
-                        for (col, f) in cols.iter_mut().zip(fields.iter()) {
-                            col.push(f);
-                        }
-                        return;
-                    }
-                }
-                let mut cols: Vec<Col> = fields.iter().map(Col::new_for).collect();
-                for (col, f) in cols.iter_mut().zip(fields.iter()) {
-                    col.push(f);
-                }
-                self.runs.push(Run::Tuple {
-                    arity: fields.len(),
-                    cols,
-                });
-            }
-            other => match self.runs.last_mut() {
-                Some(Run::Rows(rows)) => rows.push(other.clone()),
-                _ => self.runs.push(Run::Rows(vec![other.clone()])),
-            },
-        }
+    /// Iterates the batch's elements in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Value> {
+        self.rows.iter()
     }
 
-    /// Applies `f` to every element in order, short-circuiting on the
-    /// first error. The dispatch on storage layout happens **once per
-    /// run**: a monomorphic column's inner loop constructs each value
-    /// directly from the typed column, with no per-element enum
-    /// inspection of the input — the batch-at-a-time kernels are built on
-    /// this.
-    pub fn try_for_each<E>(&self, mut f: impl FnMut(Value) -> Result<(), E>) -> Result<(), E> {
-        for run in &self.runs {
-            match run {
-                Run::Scalar(Col::I64(xs)) => {
-                    for &x in xs {
-                        f(Value::I64(x))?;
-                    }
-                }
-                Run::Scalar(Col::F64(xs)) => {
-                    for &x in xs {
-                        f(Value::F64(x))?;
-                    }
-                }
-                Run::Scalar(Col::Bool(xs)) => {
-                    for &x in xs {
-                        f(Value::Bool(x))?;
-                    }
-                }
-                Run::Scalar(Col::Str(xs)) => {
-                    for x in xs {
-                        f(Value::Str(x.clone()))?;
-                    }
-                }
-                Run::Scalar(Col::Mixed(xs)) | Run::Rows(xs) => {
-                    for x in xs {
-                        f(x.clone())?;
-                    }
-                }
-                Run::Tuple { cols, .. } => {
-                    for i in 0..run.len() {
-                        f(Value::tuple(
-                            cols.iter().map(|c| c.get(i)).collect::<Vec<_>>(),
-                        ))?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Iterates the batch's elements in order (reconstructing values from
-    /// the columns).
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.runs.iter().flat_map(|run| {
-            (0..run.len()).map(move |i| match run {
-                Run::Scalar(c) => c.get(i),
-                Run::Tuple { cols, .. } => {
-                    Value::tuple(cols.iter().map(|c| c.get(i)).collect::<Vec<_>>())
-                }
-                Run::Rows(rows) => rows[i].clone(),
-            })
-        })
-    }
-
-    /// Consumes the batch into a plain value vector.
+    /// Consumes the batch into its value vector (a move).
     pub fn into_values(self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.len);
-        for run in self.runs {
-            match run {
-                Run::Scalar(mut c) => out.append(&mut c.drain_values()),
-                Run::Tuple { arity: _, cols } => {
-                    let n = cols.first().map_or(0, Col::len);
-                    let field_vecs: Vec<Vec<Value>> =
-                        cols.into_iter().map(|mut c| c.drain_values()).collect();
-                    for i in 0..n {
-                        out.push(Value::tuple(
-                            field_vecs.iter().map(|f| f[i].clone()).collect::<Vec<_>>(),
-                        ));
-                    }
-                }
-                Run::Rows(mut rows) => out.append(&mut rows),
-            }
-        }
-        out
+        self.rows
     }
 
     /// Sum of the elements' legacy in-memory size estimates
     /// ([`Value::estimated_bytes`]) — the basis of the pre-encoding wire
     /// estimate and of state-residency accounting.
     pub fn estimated_bytes(&self) -> u64 {
-        self.runs
-            .iter()
-            .map(|run| match run {
-                Run::Scalar(c) => c.estimated_bytes(),
-                Run::Tuple { cols, .. } => {
-                    let n = cols.first().map_or(0, Col::len) as u64;
-                    2 * n + cols.iter().map(Col::estimated_bytes).sum::<u64>()
-                }
-                Run::Rows(rows) => rows.iter().map(Value::estimated_bytes).sum(),
-            })
-            .sum()
+        self.rows.iter().map(Value::estimated_bytes).sum()
     }
 
-    /// Exact size of [`Batch::encode`]'s output, computed without
-    /// allocating the slab.
+    /// Exact size of [`Batch::encode`]'s output, computed from the rows
+    /// without allocating.
     pub fn encoded_len(&self) -> usize {
-        4 + self
-            .runs
-            .iter()
-            .map(|run| match run {
-                Run::Scalar(c) => 1 + 4 + c.encoded_len(),
-                Run::Tuple { cols, .. } => {
-                    1 + 4 + 1 + cols.iter().map(Col::encoded_len).sum::<usize>()
-                }
-                Run::Rows(rows) => 1 + 4 + rows.iter().map(value_encoded_len).sum::<usize>(),
+        4 + runs(&self.rows)
+            .map(|(kind, run)| {
+                1 + 4
+                    + match kind {
+                        RunKind::Scalar(tag) => 1 + col_data_len(tag, run.iter()),
+                        RunKind::Tuple(arity) => 1 + tuple_cols_len(arity, run),
+                        RunKind::Rows => run.iter().map(value_encoded_len).sum::<usize>(),
+                    }
             })
             .sum::<usize>()
     }
 
     /// Serializes the batch to an owned byte slab in the length-delimited
-    /// wire format (see the [module docs](self)).
+    /// columnar wire format (see the [module docs](self)).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
-        for run in &self.runs {
-            match run {
-                Run::Scalar(c) => {
+        // The run count is patched in once the runs are written.
+        out.extend_from_slice(&[0; 4]);
+        let mut n_runs = 0u32;
+        for (kind, run) in runs(&self.rows) {
+            n_runs += 1;
+            let count = u32::try_from(run.len()).expect("a batch run holds under 2^32 elements");
+            match kind {
+                RunKind::Scalar(tag) => {
                     out.push(RUN_SCALAR);
-                    out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                    c.encode(&mut out);
+                    out.extend_from_slice(&count.to_le_bytes());
+                    encode_col(tag, run.iter(), &mut out);
                 }
-                Run::Tuple { arity, cols } => {
+                RunKind::Tuple(arity) => {
                     out.push(RUN_TUPLE);
-                    let n = cols.first().map_or(0, Col::len);
-                    out.extend_from_slice(&(n as u32).to_le_bytes());
-                    out.push(*arity as u8);
-                    for c in cols {
-                        c.encode(&mut out);
+                    out.extend_from_slice(&count.to_le_bytes());
+                    out.push(u8::try_from(arity).expect("tuple runs are at most MAX_ARITY wide"));
+                    for j in 0..arity {
+                        let col = run.iter().map(|t| &tuple_fields(t)[j]);
+                        encode_col(field_tag(run, j), col, &mut out);
                     }
                 }
-                Run::Rows(rows) => {
+                RunKind::Rows => {
                     out.push(RUN_ROWS);
-                    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                    for v in rows {
+                    out.extend_from_slice(&count.to_le_bytes());
+                    for v in run {
                         encode_value(v, &mut out);
                     }
                 }
             }
         }
+        out[..4].copy_from_slice(&n_runs.to_le_bytes());
         debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
@@ -530,8 +201,10 @@ impl Batch {
                 buf.len()
             )));
         }
-        let mut runs = Vec::with_capacity(n_runs);
-        let mut len = 0usize;
+        let mut rows = Vec::new();
+        // A tuple run's fields, column after column, before they are
+        // reassembled into rows.
+        let mut fields = Vec::new();
         for _ in 0..n_runs {
             let tag = take_u8(buf, &mut pos)?;
             let count = take_u32(buf, &mut pos)? as usize;
@@ -541,27 +214,32 @@ impl Batch {
                     buf.len()
                 )));
             }
-            len += count;
-            runs.push(match tag {
-                RUN_SCALAR => Run::Scalar(Col::decode(buf, &mut pos, count)?),
+            match tag {
+                RUN_SCALAR => decode_col(buf, &mut pos, count, &mut rows)?,
                 RUN_TUPLE => {
                     let arity = take_u8(buf, &mut pos)? as usize;
                     if arity == 0 {
                         return Err(DecodeError::new("tuple run with arity 0"));
                     }
-                    let cols = (0..arity)
-                        .map(|_| Col::decode(buf, &mut pos, count))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Run::Tuple { arity, cols }
+                    fields.clear();
+                    for _ in 0..arity {
+                        decode_col(buf, &mut pos, count, &mut fields)?;
+                    }
+                    rows.reserve(count);
+                    for i in 0..count {
+                        rows.push(Value::tuple((0..arity).map(|j| {
+                            std::mem::replace(&mut fields[j * count + i], Value::Unit)
+                        })));
+                    }
                 }
                 RUN_ROWS => {
-                    let rows = (0..count)
-                        .map(|_| decode_value(buf, &mut pos, 0))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Run::Rows(rows)
+                    rows.reserve(count);
+                    for _ in 0..count {
+                        rows.push(decode_value(buf, &mut pos, 0)?);
+                    }
                 }
                 other => return Err(DecodeError::new(format!("unknown run tag {other}"))),
-            });
+            }
         }
         if pos != buf.len() {
             return Err(DecodeError::new(format!(
@@ -569,36 +247,155 @@ impl Batch {
                 buf.len() - pos
             )));
         }
-        Ok(Batch { runs, len })
-    }
-}
-
-impl PartialEq for Batch {
-    /// Element-wise equality under [`Value`] semantics (floats compare by
-    /// bit pattern), independent of how the runs are laid out.
-    fn eq(&self, other: &Batch) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        Ok(Batch { rows })
     }
 }
 
 impl FromIterator<Value> for Batch {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Batch {
-        let mut b = Batch::new();
-        for v in iter {
-            b.push(v);
-        }
-        b
+        Batch::from_values(iter.into_iter().collect())
     }
 }
 
-fn col_matches(col: &Col, v: &Value) -> bool {
-    matches!(
-        (col, v),
-        (Col::I64(_), Value::I64(_))
-            | (Col::F64(_), Value::F64(_))
-            | (Col::Bool(_), Value::Bool(_))
-            | (Col::Str(_), Value::Str(_))
-    )
+/// How a run of the wire encoding lays out its elements.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum RunKind {
+    /// Same-typed scalars in one typed column (the column tag).
+    Scalar(u8),
+    /// Tuples of one arity (1 to [`MAX_ARITY`]), one column per field.
+    Tuple(usize),
+    /// The row fallback: tagged values.
+    Rows,
+}
+
+fn run_kind(v: &Value) -> RunKind {
+    match v {
+        Value::Tuple(fs) if (1..=MAX_ARITY).contains(&fs.len()) => RunKind::Tuple(fs.len()),
+        _ => match scalar_tag(v) {
+            COL_MIXED => RunKind::Rows,
+            tag => RunKind::Scalar(tag),
+        },
+    }
+}
+
+/// The typed column tag a scalar value fits, or [`COL_MIXED`].
+fn scalar_tag(v: &Value) -> u8 {
+    match v {
+        Value::I64(_) => COL_I64,
+        Value::F64(_) => COL_F64,
+        Value::Bool(_) => COL_BOOL,
+        Value::Str(_) => COL_STR,
+        _ => COL_MIXED,
+    }
+}
+
+/// Splits rows into the encoding's maximal runs of one [`RunKind`].
+fn runs(rows: &[Value]) -> impl Iterator<Item = (RunKind, &[Value])> {
+    let mut rest = rows;
+    std::iter::from_fn(move || {
+        let kind = run_kind(rest.first()?);
+        let n = 1 + rest[1..].iter().take_while(|v| run_kind(v) == kind).count();
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        Some((kind, run))
+    })
+}
+
+fn tuple_fields(v: &Value) -> &[Value] {
+    match v {
+        Value::Tuple(fs) => fs,
+        other => unreachable!("tuple run holds a non-tuple {other:?}"),
+    }
+}
+
+/// The column tag of field `j` across a tuple run: the first element's
+/// typed tag when every element agrees with it, otherwise mixed.
+fn field_tag(run: &[Value], j: usize) -> u8 {
+    let tag = scalar_tag(&tuple_fields(&run[0])[j]);
+    if tag != COL_MIXED
+        && run[1..]
+            .iter()
+            .all(|t| scalar_tag(&tuple_fields(t)[j]) == tag)
+    {
+        tag
+    } else {
+        COL_MIXED
+    }
+}
+
+/// Wire size of a column's data (after its tag byte).
+fn col_data_len<'a>(tag: u8, vals: impl ExactSizeIterator<Item = &'a Value>) -> usize {
+    match tag {
+        COL_I64 | COL_F64 => 8 * vals.len(),
+        COL_BOOL => vals.len(),
+        COL_STR => vals.map(|v| 4 + v.as_str().map_or(0, str::len)).sum(),
+        _ => vals.map(value_encoded_len).sum(),
+    }
+}
+
+/// Wire size of a tuple run's columns, tags included, in one pass over the
+/// rows: every field costs its tagged size, less the tag byte per element
+/// of each column that stays typed across the whole run.
+fn tuple_cols_len(arity: usize, run: &[Value]) -> usize {
+    let first = tuple_fields(&run[0]);
+    // Bit j is set once field j disagrees with the first element's type.
+    let mut mixed = [0u64; MAX_ARITY.div_ceil(64)];
+    let mut len = arity;
+    for t in run {
+        for (j, f) in tuple_fields(t).iter().enumerate() {
+            len += value_encoded_len(f);
+            mixed[j / 64] |= u64::from(scalar_tag(f) != scalar_tag(&first[j])) << (j % 64);
+        }
+    }
+    let typed = (0..arity)
+        .filter(|&j| mixed[j / 64] >> (j % 64) & 1 == 0 && scalar_tag(&first[j]) != COL_MIXED)
+        .count();
+    len - typed * run.len()
+}
+
+/// Encodes one column: its tag, then each value untagged when the column
+/// is typed, tagged when it is mixed.
+fn encode_col<'a>(tag: u8, vals: impl Iterator<Item = &'a Value>, out: &mut Vec<u8>) {
+    out.push(tag);
+    for v in vals {
+        match v {
+            Value::I64(x) if tag == COL_I64 => out.extend_from_slice(&x.to_le_bytes()),
+            Value::F64(x) if tag == COL_F64 => out.extend_from_slice(&x.to_bits().to_le_bytes()),
+            Value::Bool(x) if tag == COL_BOOL => out.push(*x as u8),
+            Value::Str(s) if tag == COL_STR => encode_str(s, out),
+            _ => {
+                debug_assert_eq!(tag, COL_MIXED, "typed column holds {v:?}");
+                encode_value(v, out);
+            }
+        }
+    }
+}
+
+/// Decodes one column of `count` values, appending them to `out`.
+fn decode_col(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<Value>,
+) -> Result<(), DecodeError> {
+    type Read = fn(&[u8], &mut usize) -> Result<Value, DecodeError>;
+    let read: Read = match take_u8(buf, pos)? {
+        COL_I64 => |buf, pos| Ok(Value::I64(i64::from_le_bytes(take_array(buf, pos)?))),
+        COL_F64 => |buf, pos| {
+            Ok(Value::F64(f64::from_bits(u64::from_le_bytes(take_array(
+                buf, pos,
+            )?))))
+        },
+        COL_BOOL => |buf, pos| Ok(Value::Bool(take_u8(buf, pos)? != 0)),
+        COL_STR => |buf, pos| Ok(Value::Str(decode_str(buf, pos)?)),
+        COL_MIXED => |buf, pos| decode_value(buf, pos, 0),
+        other => return Err(DecodeError::new(format!("unknown column tag {other}"))),
+    };
+    out.reserve(count);
+    for _ in 0..count {
+        out.push(read(buf, pos)?);
+    }
+    Ok(())
 }
 
 /// An error from [`Batch::decode`]: the input slab was truncated,
@@ -753,12 +550,17 @@ mod tests {
     fn roundtrip(values: Vec<Value>) {
         let b = Batch::from_values(values.clone());
         assert_eq!(b.len(), values.len());
-        assert_eq!(b.iter().collect::<Vec<_>>(), values, "iter reconstructs");
+        assert_eq!(b.iter().cloned().collect::<Vec<_>>(), values, "iter");
         let encoded = b.encode();
         assert_eq!(encoded.len(), b.encoded_len(), "encoded_len is exact");
         let decoded = Batch::decode(&encoded).expect("decodes");
         assert_eq!(decoded, b, "round-trip");
         assert_eq!(decoded.into_values(), values);
+    }
+
+    /// The row-fallback size of `values`: one row run of tagged values.
+    fn rows_len(values: &[Value]) -> usize {
+        4 + 1 + 4 + values.iter().map(value_encoded_len).sum::<usize>()
     }
 
     #[test]
@@ -779,10 +581,16 @@ mod tests {
         let values: Vec<Value> = (0..50)
             .map(|i| Value::tuple([Value::I64(i), Value::str(format!("v{i}"))]))
             .collect();
-        let b = Batch::from_values(values.clone());
-        if !batch_off() {
-            assert_eq!(b.runs.len(), 1, "one tuple run");
-        }
+        let encoded = Batch::from_values(values.clone()).encode();
+        // One run: a 2-field tuple run of 50 elements, whose first column
+        // is typed i64 (8 bytes per element, no tags).
+        assert_eq!(encoded[..4], 1u32.to_le_bytes(), "one run");
+        assert_eq!(encoded[4], RUN_TUPLE);
+        assert_eq!(encoded[5..9], 50u32.to_le_bytes());
+        assert_eq!(encoded[9], 2, "arity");
+        assert_eq!(encoded[10], COL_I64);
+        assert_eq!(encoded[11..19], 0i64.to_le_bytes());
+        assert_eq!(encoded[11 + 8 * 50], COL_STR, "second column is typed str");
         roundtrip(values);
     }
 
@@ -804,6 +612,76 @@ mod tests {
             ]),
             Value::Bool(false),
         ]);
+    }
+
+    /// The wire format is pinned: these bytes are the encoding of a fixed
+    /// sequence covering an i64 run, a 2-tuple run whose second column
+    /// degrades to mixed, a string run, f64 and bool runs, and a
+    /// row-fallback tail.
+    #[test]
+    fn encoding_matches_golden_bytes() {
+        let seq = vec![
+            Value::I64(1),
+            Value::I64(-2),
+            Value::I64(300),
+            Value::tuple([Value::I64(1), Value::I64(10)]),
+            Value::tuple([Value::I64(2), Value::str("x")]),
+            Value::tuple([Value::I64(3), Value::Bool(true)]),
+            Value::str("ab"),
+            Value::str(""),
+            Value::F64(-0.0),
+            Value::F64(1.5),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Unit,
+            Value::list([Value::I64(7)]),
+            Value::tuple(Vec::<Value>::new()),
+        ];
+        #[rustfmt::skip]
+        let golden: [u8; 154] = [
+            6, 0, 0, 0,
+            // i64 run: 1, -2, 300
+            1, 3, 0, 0, 0, 1,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            254, 255, 255, 255, 255, 255, 255, 255,
+            44, 1, 0, 0, 0, 0, 0, 0,
+            // 2-tuple run: typed i64 column, mixed column (10, "x", true)
+            2, 3, 0, 0, 0, 2, 1,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            0, 2, 10, 0, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 0, 120, 1, 1,
+            // str run: "ab", ""
+            1, 2, 0, 0, 0, 4, 2, 0, 0, 0, 97, 98, 0, 0, 0, 0,
+            // f64 run: -0.0, 1.5 (raw bits)
+            1, 2, 0, 0, 0, 2,
+            0, 0, 0, 0, 0, 0, 0, 128,
+            0, 0, 0, 0, 0, 0, 248, 63,
+            // bool run: true, false
+            1, 2, 0, 0, 0, 3, 1, 0,
+            // row run: (), [7], ()-tuple
+            0, 3, 0, 0, 0, 0, 6, 1, 0, 0, 0, 2, 7, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0,
+        ];
+        let b = Batch::from_values(seq);
+        assert_eq!(b.encode(), golden);
+        assert_eq!(b.encoded_len(), golden.len());
+        assert_eq!(Batch::new().encode(), [0, 0, 0, 0]);
+        assert_eq!(Batch::new().encoded_len(), 4);
+    }
+
+    #[test]
+    fn tuples_wider_than_a_byte_round_trip() {
+        for arity in [255i64, 256, 257] {
+            let wide = Value::tuple((0..arity).map(Value::I64));
+            let values = vec![wide.clone(), wide];
+            roundtrip(values.clone());
+            let columnar = arity as usize <= MAX_ARITY;
+            assert_eq!(
+                Batch::from_values(values.clone()).encoded_len() < rows_len(&values),
+                columnar,
+                "arity {arity}: columnar only up to {MAX_ARITY} fields"
+            );
+        }
     }
 
     #[test]
@@ -837,18 +715,11 @@ mod tests {
         let values: Vec<Value> = (0..1000)
             .map(|i| Value::tuple([Value::I64(i), Value::I64(i * 2)]))
             .collect();
-        let b = Batch::from_values(values.clone());
-        if batch_off() {
-            return; // row fallback forced by the environment
-        }
-        let mut rows = Batch::new();
-        rows.runs = vec![Run::Rows(values)];
-        rows.len = 1000;
+        let columnar = Batch::from_values(values.clone()).encoded_len();
         assert!(
-            b.encoded_len() < rows.encoded_len(),
-            "columnar {} vs rows {}",
-            b.encoded_len(),
-            rows.encoded_len()
+            columnar < rows_len(&values),
+            "columnar {columnar} vs rows {}",
+            rows_len(&values)
         );
     }
 

@@ -1,4 +1,4 @@
-//! Property tests for the columnar batch container and its wire codec:
+//! Property tests for the batch container and its columnar wire codec:
 //! the encoding must round-trip arbitrary element sequences exactly
 //! (including NaN bit patterns, nested tuples, lists, and empty batches),
 //! the container must preserve element order and count, and the exact
@@ -64,13 +64,13 @@ proptest! {
     }
 
     /// The container preserves order, count, and the per-element byte
-    /// estimate of the row representation it replaces.
+    /// estimate.
     #[test]
     fn container_preserves_elements(elems in arb_elems()) {
         let batch = Batch::from_slice(&elems);
         prop_assert_eq!(batch.len(), elems.len());
         prop_assert_eq!(batch.is_empty(), elems.is_empty());
-        let roundtrip: Vec<Value> = batch.iter().collect();
+        let roundtrip: Vec<Value> = batch.iter().cloned().collect();
         prop_assert_eq!(&roundtrip, &elems);
         prop_assert_eq!(
             batch.estimated_bytes(),

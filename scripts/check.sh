@@ -27,6 +27,11 @@ if [ "$ignored_total" -ne 2 ]; then
         "run 'cargo test --workspace -- --list --ignored' and account for the rest" >&2
     exit 1
 fi
+# The wall-clock benchmark (perfbench/, a package of its own outside the
+# workspace) builds against the library's public API; its self-tests catch
+# an API change that would break the benchmark while every workspace gate
+# above still passes.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 
@@ -356,10 +361,10 @@ for m in bytes_on_wire data_messages mitos_ms; do
     }
 done
 
-# Batch-encoding kill switch A/B: MITOS_BATCH_OFF=1 reverts to
-# row-oriented containers and the legacy estimated wire accounting; the
-# computed outputs must be bit-identical on both drivers (only the byte
-# accounting, and therefore simulated network time, may differ).
+# Wire-accounting A/B: MITOS_BATCH_OFF=1 charges the legacy estimated
+# wire bytes instead of the exact encoded size; the computed outputs must
+# be bit-identical on both drivers (only the byte accounting, and
+# therefore simulated network time, may differ).
 for eng in mitos threads; do
     batch_on="$(./target/release/mitos run examples/nested_loops.mt \
         --machines 3 --engine "$eng")"
