@@ -40,7 +40,7 @@ pub fn flink_driver_config() -> DriverConfig {
 /// How a program can run on Flink.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FlinkMode {
-    /// Fits the native-iteration template: a single, non-nested loop with
+    /// Fits the native-iteration shape: a single, non-nested loop with
     /// no control flow or file I/O inside.
     Native,
     /// Needs one dataflow job per iteration step.

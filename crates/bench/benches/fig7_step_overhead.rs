@@ -127,50 +127,39 @@ fn main() {
             ("count", h.count.into()),
         ]);
     }
-    // Ablation: the execution-template cache (control-plane memoization).
-    // The slow path re-derives every input-bag selection by backward
-    // scans over the ever-growing execution path (charged per block
-    // examined); a template hit replays the recorded decisions for one
-    // flat validation cost. Always run at steady state (200 steps)
-    // regardless of MITOS_BENCH_FULL: the 50-step quick loop is
-    // warmup-dominated and would understate both the hit rate and the
-    // win. Fully deterministic under the simulator.
-    let abl_steps: u32 = 200;
-    let abl_func = mitos_ir::compile_str(&trivial_loop_program(abl_steps)).unwrap();
-    let abl_cluster = SimConfig::with_machines(25);
-    let virt_step_ms = |templates: bool| -> (f64, f64) {
-        let cfg = EngineConfig::new().with_templates(templates);
+    // Flatness in loop length: every step selects a loop-invariant input
+    // (the `for` bound, produced once before the loop). The indexed
+    // execution path answers that selection in O(1), so per-step overhead
+    // must not grow with the loop's length. Always run at 200 and 2000 steps
+    // regardless of MITOS_BENCH_FULL; fully deterministic under the
+    // simulator.
+    let flat_cluster = SimConfig::with_machines(25);
+    let virt_step_ms = |steps: u32| -> f64 {
+        let func = mitos_ir::compile_str(&trivial_loop_program(steps)).unwrap();
         let fs = InMemoryFs::new();
-        let r =
-            mitos_core::run_sim(&abl_func, &fs, cfg, abl_cluster).expect("template ablation run");
-        (
-            r.sim.end_time as f64 / 1e6 / f64::from(abl_steps),
-            r.template_hit_rate(),
-        )
+        let r = mitos_core::run_sim(&func, &fs, EngineConfig::new(), flat_cluster)
+            .expect("flatness run");
+        r.sim.end_time as f64 / 1e6 / f64::from(steps)
     };
-    let (on_ms, on_rate) = virt_step_ms(true);
-    let (off_ms, off_rate) = virt_step_ms(false);
-    println!("\nAblation: execution templates ({abl_steps}-step loop, 25 machines):");
-    println!("  templates on : {on_ms:.4} ms/step (hit rate {on_rate:.2})");
-    println!("  templates off: {off_ms:.4} ms/step");
-    assert_eq!(
-        off_rate, 0.0,
-        "templates-off run must not consult the cache"
-    );
+    println!("\nPer-step overhead vs loop length (25 machines):");
+    let mut flat = Vec::new();
+    for steps in [200u32, 2000] {
+        let ms = virt_step_ms(steps);
+        println!("  {steps:>5} steps: {ms:.4} ms/step");
+        report.row(vec![
+            ("flatness", "loop_length".into()),
+            ("machines", 25u16.into()),
+            ("steps", steps.into()),
+            ("mitos_step_ms", ms.into()),
+        ]);
+        flat.push(ms);
+    }
+    let growth = flat[1] / flat[0];
     assert!(
-        on_ms < off_ms,
-        "templates must cut steady-state per-step overhead: on={on_ms} off={off_ms}"
+        growth <= 1.05,
+        "per-step overhead must stay flat in loop length: 2000/200 steps = {growth}"
     );
-    report.row(vec![
-        ("ablation", "templates".into()),
-        ("machines", 25u16.into()),
-        ("steps", abl_steps.into()),
-        ("templates_on_step_ms", on_ms.into()),
-        ("templates_off_step_ms", off_ms.into()),
-        ("template_hit_rate", on_rate.into()),
-    ]);
-    report.factor("templates_off_on_step_factor", off_ms / on_ms);
-    report.factor("template_hit_rate_steady", on_rate);
+    report.factor("step_growth_2000_vs_200", growth);
     report.provenance(cluster.seed, traced_cfg.digest());
     report.write();
     println!("\npaper: job-per-step systems grow linearly with machines and sit");

@@ -34,16 +34,13 @@ pub struct CostModel {
     /// element's in-memory estimate (log lines carry URLs and timestamps,
     /// not bare integers). Scales IO and network volume only.
     pub bytes_per_record_scale: u64,
-    /// CPU ns per path block examined while deriving a control-plane
-    /// decision (the Sec. 5.2.3 backward scans). This is the per-step
-    /// overhead the execution-template cache eliminates: a loop-invariant
-    /// input's scan walks back to the start of an ever-growing path on
-    /// every iteration.
+    /// CPU ns per indexed path lookup: one input-bag selection (the
+    /// Sec. 5.2.3 "latest occurrence of the producer's block"), answered by
+    /// [`crate::path::ExecutionPath::last_occurrence_before`] in O(1) on a
+    /// growing path. Control-plane work is per decision, not per data
+    /// record, so `record_weight` does not apply. The field keeps its older
+    /// name because the wall-clock benchmark (`perfbench/`) reads it.
     pub per_scan_block_ns: u64,
-    /// Flat CPU ns to validate and replay a cached execution template at a
-    /// bag start (one suffix-key comparison of at most
-    /// [`crate::template::WINDOW`]` + 1` blocks).
-    pub template_replay_ns: u64,
 }
 
 impl Default for CostModel {
@@ -59,7 +56,6 @@ impl Default for CostModel {
             record_weight: 1,
             bytes_per_record_scale: 1,
             per_scan_block_ns: 6,
-            template_replay_ns: 40,
         }
     }
 }
@@ -114,18 +110,6 @@ impl CostModel {
     /// Wire size of a weighted payload.
     pub fn wire_bytes(&self, bytes: u64) -> u64 {
         bytes * self.record_weight * self.bytes_per_record_scale
-    }
-
-    /// Cost of a control-plane selection scan over `blocks` path blocks.
-    /// Control-plane work is per decision, not per data record, so
-    /// `record_weight` does not apply.
-    pub fn scan_cost(&self, blocks: u64) -> u64 {
-        self.per_scan_block_ns * blocks
-    }
-
-    /// Cost of one execution-template lookup + replay at a bag start.
-    pub fn replay_cost(&self) -> u64 {
-        self.template_replay_ns
     }
 }
 

@@ -44,15 +44,15 @@ pub struct EngineResult {
     pub sim: SimReport,
     /// Loop-invariant hoisting reuse hits across all operators.
     pub hoist_hits: u64,
-    /// Execution-template replay hits across all hosts (bag starts whose
-    /// control-plane decisions were replayed from a cached traversal; see
-    /// [`crate::template`]). Deterministic on the simulator: bit-identical
-    /// across runs and drivers.
+    /// Always 0. The execution-template cache this counted is gone (the
+    /// indexed [`crate::path::ExecutionPath`] replaced it); the field is
+    /// kept only so the wall-clock benchmark in `perfbench/` still builds.
     pub template_hits: u64,
-    /// Execution-template misses (bag starts that took the slow path).
+    /// Always 0; kept only so the wall-clock benchmark still builds (see
+    /// [`EngineResult::template_hits`]).
     pub template_misses: u64,
-    /// Execution-template invalidations (replay fallbacks: send-hint
-    /// divergence or hoist-verdict mismatch).
+    /// Always 0; kept only so the wall-clock benchmark still builds (see
+    /// [`EngineResult::template_hits`]).
     pub template_invalidations: u64,
     /// Control-flow decisions broadcast.
     pub decisions: u64,
@@ -91,16 +91,10 @@ impl EngineResult {
         self.sim.end_time as f64 / NS_PER_MS as f64
     }
 
-    /// The fraction of bag starts served by execution-template replay
-    /// (`hits / (hits + misses)`), or 0 when templates never looked up
-    /// (disabled, or no bag ever started).
+    /// Always 0; kept only so the wall-clock benchmark still builds (see
+    /// [`EngineResult::template_hits`]).
     pub fn template_hit_rate(&self) -> f64 {
-        let total = self.template_hits + self.template_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.template_hits as f64 / total as f64
-        }
+        0.0
     }
 }
 
@@ -264,13 +258,6 @@ pub fn run_sim_live(
     let op_stats = collect_op_stats(&shared.graph, &world.workers, cluster.machines);
     let path = world.workers[0].path().blocks().to_vec();
     let hoist_hits = world.workers.iter().map(Worker::hoist_hits).sum();
-    let template_hits = world.workers.iter().map(Worker::template_hits).sum();
-    let template_misses = world.workers.iter().map(Worker::template_misses).sum();
-    let template_invalidations = world
-        .workers
-        .iter()
-        .map(Worker::template_invalidations)
-        .sum();
     let decisions = world.workers.iter().map(|w| w.decisions_broadcast).sum();
     let data_messages = world.workers.iter().map(|w| w.data_messages).sum();
     let level = shared.config.obs;
@@ -284,9 +271,9 @@ pub fn run_sim_live(
         path,
         sim: report,
         hoist_hits,
-        template_hits,
-        template_misses,
-        template_invalidations,
+        template_hits: 0,
+        template_misses: 0,
+        template_invalidations: 0,
         decisions,
         data_messages,
         op_stats,
@@ -667,127 +654,34 @@ mod tests {
     }
 
     #[test]
-    fn templates_off_is_equivalent_and_slower() {
-        // A steady-state loop where the template cache replays almost
-        // every bag start. The run must be bit-identical to the slow path
-        // in every *result* — outputs, path, message counts, decisions,
-        // file-system effects, causal span-tree shapes — while finishing
-        // in strictly less virtual time: a template hit charges one flat
-        // replay cost where the slow path pays for backward scans over
-        // the ever-growing execution path.
-        let src = r#"
-            s = 0;
-            d = bag(1, 2, 3);
-            for i = 1 to 200 {
-                d = d.map(x => x + 1);
-                s = s + d.sum();
-            }
-            output(s, "s");
-        "#;
-        let func = mitos_ir::compile_str(src).unwrap();
-        let fs1 = InMemoryFs::new();
-        let on = run_sim(
-            &func,
-            &fs1,
-            EngineConfig::new().with_obs(crate::obs::ObsLevel::Trace),
-            cluster(4),
-        )
-        .unwrap();
-        let fs2 = InMemoryFs::new();
-        let off = run_sim(
-            &func,
-            &fs2,
-            EngineConfig::new()
-                .with_templates(false)
-                .with_obs(crate::obs::ObsLevel::Trace),
-            cluster(4),
-        )
-        .unwrap();
-        assert_eq!(on.outputs, off.outputs);
-        assert_eq!(on.path, off.path);
-        assert!(
-            on.sim.end_time < off.sim.end_time,
-            "steady-state replay must beat re-deriving every decision: \
-             on={} off={}",
-            on.sim.end_time,
-            off.sim.end_time
-        );
-        assert_eq!(on.sim.messages, off.sim.messages);
-        assert_eq!(on.data_messages, off.data_messages);
-        assert_eq!(on.decisions, off.decisions);
-        assert_eq!(fs1.snapshot(), fs2.snapshot());
-        // Replay emits the same observability spans as the slow path:
-        // every step's causal tree is isomorphic (shapes exclude only
-        // timestamps, which legitimately differ).
-        let on_trees = crate::obs::build_step_trees(on.obs.as_ref().unwrap());
-        let off_trees = crate::obs::build_step_trees(off.obs.as_ref().unwrap());
-        assert_eq!(on_trees.len(), off_trees.len());
-        for (a, b) in on_trees.iter().zip(&off_trees) {
-            assert!(a.orphans.is_empty(), "step {} orphans", a.step);
-            assert_eq!(a.shape(), b.shape(), "tree shape at step {}", a.step);
-        }
-        assert!(on.template_hits > 0, "the loop must hit the cache");
-        assert!(
-            on.template_hit_rate() > 0.9,
-            "steady-state hit rate: {}",
-            on.template_hit_rate()
-        );
-        assert_eq!(
-            (
-                off.template_hits,
-                off.template_misses,
-                off.template_invalidations
-            ),
-            (0, 0, 0),
-            "disabled cache must count nothing"
-        );
-    }
-
-    #[test]
-    fn template_counters_are_deterministic_across_runs() {
-        let src = r#"
-            total = 0;
-            d = bag(1, 2, 3, 4);
-            for i = 1 to 40 {
-                if (i % 3 == 0) { d = d.filter(x => x > 1); }
-                total = total + d.sum();
-            }
-            output(total, "t");
-        "#;
-        let func = mitos_ir::compile_str(src).unwrap();
-        let run = || {
-            let fs = InMemoryFs::new();
-            run_sim(&func, &fs, EngineConfig::default(), cluster(3)).unwrap()
+    fn per_step_virtual_time_is_flat_in_loop_length() {
+        // Every step of this loop selects a loop-invariant input: the
+        // `for` bound, produced once before the loop. With the indexed
+        // execution path that selection costs the same at step 2000 as at
+        // step 200, so per-step virtual time must not grow with the loop's
+        // length.
+        let per_step_ms = |steps: u32| {
+            let src = format!(
+                "s = 0; for i = 1 to {steps} {{ b = bag((1, i)); s = s + b.count(); }} \
+                 output(s, \"s\");"
+            );
+            let func = mitos_ir::compile_str(&src).unwrap();
+            let r = run_sim(
+                &func,
+                &InMemoryFs::new(),
+                EngineConfig::default(),
+                cluster(8),
+            )
+            .unwrap();
+            assert_eq!(r.outputs["s"], vec![Value::I64(i64::from(steps))]);
+            r.millis() / f64::from(steps)
         };
-        let a = run();
-        let b = run();
-        assert_eq!(
-            (a.template_hits, a.template_misses, a.template_invalidations),
-            (b.template_hits, b.template_misses, b.template_invalidations),
-            "bag starts follow path order, so the counters are bit-identical"
-        );
-        assert_eq!(
-            a.template_hit_rate().to_bits(),
-            b.template_hit_rate().to_bits()
-        );
-        assert!(a.template_hits > 0);
-    }
-
-    #[test]
-    fn withheld_decisions_disable_templates() {
-        // Decision withholding deliberately perturbs the control plane, so
-        // the cache is never built (one machine: every decision is local
-        // and the run still completes).
-        let src = "s = 0; for i = 1 to 10 { s = s + i; } output(s, \"s\");";
-        let func = mitos_ir::compile_str(src).unwrap();
-        let fs = InMemoryFs::new();
-        let cfg = EngineConfig::new()
-            .with_faults(crate::rt::FaultPlan::new().with_withhold_decisions(true));
-        let r = run_sim(&func, &fs, cfg, cluster(1)).unwrap();
-        assert_eq!(
-            (r.template_hits, r.template_misses, r.template_invalidations),
-            (0, 0, 0),
-            "withheld decisions must disable the template cache entirely"
+        let short = per_step_ms(200);
+        let long = per_step_ms(2000);
+        assert!(
+            long <= short * 1.05,
+            "per-step virtual time grew with loop length: {short} ms at 200 steps, \
+             {long} ms at 2000"
         );
     }
 

@@ -13,9 +13,6 @@ use crate::obs::mem::{elems_bytes, MemClass};
 use crate::obs::{EventKind, InputRule, ObsBuf};
 use crate::path::{ExecutionPath, SendDecision};
 use crate::rt::{batch_wire_bytes, EngineShared, Msg, Net, RuntimeError, OUTPUT_PREFIX};
-use crate::template::{
-    self, HintStep, SelSlot, SelectionRecord, SendHint, SendStatus, TemplateCache,
-};
 use mitos_ir::kernel::{self, join_row};
 use mitos_ir::BlockId;
 use mitos_lang::expr::eval;
@@ -98,16 +95,11 @@ enum EdgeSend {
     },
     /// Waiting for the path to prove the consumer will run (5.2.4).
     /// `opened_ns` (recorded only when observability is on) feeds the
-    /// open→decision latency histogram. `hint` is a template-replay hint
-    /// (the resolution slice recorded by an earlier traversal of the same
-    /// path suffix): when present, the watcher verifies it incrementally
-    /// instead of re-scanning, falling back to [`crate::path::PathRules::decide_send`]
-    /// on divergence.
+    /// open→decision latency histogram.
     Undecided {
         cursor: u32,
         buffer: Vec<Value>,
         opened_ns: u64,
-        hint: Option<SendHint>,
     },
     /// The consumer will never select this bag.
     Dropped,
@@ -187,14 +179,6 @@ pub struct Host {
     pub emitted_elements: u64,
     /// Statistics: hoisting reuse hits.
     pub hoist_hits: u64,
-    /// Execution-template cache (see [`crate::template`]); `None` when
-    /// templates are disabled (config, kill switch, or decision
-    /// withholding, whose whole point is perturbing the control plane).
-    templates: Option<TemplateCache>,
-    /// Bags whose conditional-send resolutions should be filled into a
-    /// template: bag identifier length → template id. Entries are removed
-    /// when the out-bag retires.
-    recording_sends: HashMap<u32, u64>,
 }
 
 impl Host {
@@ -230,10 +214,6 @@ impl Host {
             .collect();
         let released_frontier = if shared.config.pipelined { u32::MAX } else { 0 };
         let machine = shared.graph.placement(op, inst);
-        let templates = (shared.config.templates
-            && !template::templates_off()
-            && !shared.config.faults.withhold_decisions)
-            .then(TemplateCache::new);
         Host {
             block: node.block,
             kind: node.kind.clone(),
@@ -257,30 +237,12 @@ impl Host {
             pending_io: None,
             emitted_elements: 0,
             hoist_hits: 0,
-            templates,
-            recording_sends: HashMap::new(),
         }
     }
 
     /// The logical operator this host runs.
     pub fn op(&self) -> OpId {
         self.op
-    }
-
-    /// Bag starts whose control-plane decisions were replayed from a
-    /// template (0 when templates are disabled).
-    pub fn template_hits(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.hits)
-    }
-
-    /// Bag starts that took the slow path and recorded a template.
-    pub fn template_misses(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.misses)
-    }
-
-    /// Template replay fallbacks (send-hint divergence, hoist mismatch).
-    pub fn template_invalidations(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.invalidations)
     }
 
     /// The path gained block `block` at position `pos`.
@@ -652,111 +614,13 @@ impl Host {
         let is_phi = matches!(self.kind, NodeKind::Phi);
         let n_inputs = self.in_edges.len();
         let mut sel: Vec<Option<u32>> = Vec::with_capacity(n_inputs);
-        // Template lookup: a cached traversal of the same path suffix
-        // replays the recorded selections in O(window) instead of
-        // re-scanning the path — emitting the identical events and running
-        // the identical GC, so results cannot differ (see
-        // [`crate::template`] for the window soundness argument).
-        let replay = self
-            .templates
-            .as_mut()
-            .and_then(|c| c.lookup(path.blocks(), len))
-            .map(|t| {
-                let hints: Vec<Option<SendHint>> = t
-                    .sends
-                    .iter()
-                    .map(|s| match s {
-                        SendStatus::Recorded { slice, sent } => Some(SendHint {
-                            slice: slice.clone(),
-                            sent: *sent,
-                            verified: 0,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                (
-                    t.id,
-                    t.selection.phi_winner,
-                    t.selection.inputs.clone(),
-                    hints,
-                )
-            });
-        if self.templates.is_some() {
-            self.shared.telemetry.template_lookup(replay.is_some());
-        }
-        let mut template_id = None;
-        let mut send_hints: Vec<Option<SendHint>> = Vec::new();
-        // Selection data collected on the slow path for recording.
-        let mut rec_phi: Option<(usize, u32)> = None;
-        let mut rec_inputs: Vec<SelSlot> = Vec::new();
-        if let Some((id, phi_winner, slots, hints)) = replay {
-            template_id = Some(id);
-            send_hints = hints;
-            // One suffix-key comparison replaces every selection scan.
-            out.net.charge(self.shared.config.cost.replay_cost());
-            if is_phi {
-                let (win_idx, delta) = phi_winner.expect("phi template records a winner");
-                let win_len = len - delta;
-                for i in 0..n_inputs {
-                    sel.push((i == win_idx).then_some(win_len));
-                }
-                if out.obs.enabled() {
-                    out.obs.record(
-                        out.net,
-                        self.op,
-                        EventKind::InputSelected {
-                            edge: self.in_edges[win_idx],
-                            bag_len: win_len,
-                            rule: InputRule::PhiLatest,
-                        },
-                    );
-                }
-                for state in &mut self.inputs {
-                    Self::gc_input(state, win_len, &self.shared.mem, self.machine, self.op);
-                }
-            } else {
-                for (i, &e) in self.in_edges.iter().enumerate() {
-                    let l = slots[i].selected(len);
-                    if out.obs.enabled() {
-                        let r = &self.shared.rules.edges[e as usize];
-                        let rule =
-                            if r.src_block == r.dst_block && r.src_stmt < r.dst_stmt && l == len {
-                                InputRule::SameBlock
-                            } else {
-                                InputRule::LatestOccurrence
-                            };
-                        out.obs.record(
-                            out.net,
-                            self.op,
-                            EventKind::InputSelected {
-                                edge: e,
-                                bag_len: l,
-                                rule,
-                            },
-                        );
-                    }
-                    sel.push(Some(l));
-                }
-                for (i, state) in self.inputs.iter_mut().enumerate() {
-                    if let Some(keep) = sel[i] {
-                        Self::gc_input(state, keep, &self.shared.mem, self.machine, self.op);
-                    }
-                }
-            }
-        } else if is_phi {
+        if is_phi {
             // Φ choice: the input whose producing block occurred latest.
             let mut best: Option<(u32, usize)> = None;
             let mut candidates = Vec::with_capacity(n_inputs);
             for (i, &e) in self.in_edges.iter().enumerate() {
                 let c = self.shared.rules.select_input_len(e, path, pos);
-                // The backward scan walked from this occurrence down to the
-                // candidate's producer (or the whole prefix on a miss).
-                out.net.charge(
-                    self.shared
-                        .config
-                        .cost
-                        .scan_cost(u64::from(c.map_or(len, |l| len - l + 1))),
-                );
+                out.net.charge(self.shared.config.cost.per_scan_block_ns);
                 if let Some(l) = c {
                     match best {
                         Some((bl, _)) if bl >= l => {}
@@ -771,7 +635,6 @@ impl Host {
                     self.name
                 ))
             })?;
-            rec_phi = Some((win_idx, len - win_len));
             for (i, c) in candidates.iter().enumerate() {
                 sel.push(if i == win_idx { *c } else { None });
             }
@@ -804,23 +667,7 @@ impl Host {
                             self.name
                         ))
                     })?;
-                // The backward scan examined every block between this
-                // occurrence and the selected producer occurrence.
-                out.net
-                    .charge(self.shared.config.cost.scan_cost(u64::from(len - l + 1)));
-                // Loop-invariant producers (block in no loop → at most one
-                // occurrence per run) record their selection absolutely;
-                // everything else records a window-bounded delta.
-                let delta = len - l;
-                rec_inputs.push(
-                    if (delta as usize) > template::WINDOW
-                        && self.shared.rules.edges[e as usize].once
-                    {
-                        SelSlot::Absolute(l)
-                    } else {
-                        SelSlot::Delta(delta)
-                    },
-                );
+                out.net.charge(self.shared.config.cost.per_scan_block_ns);
                 if out.obs.enabled() {
                     // Which prefix rule fired (5.2.3): a same-block producer
                     // earlier in this very occurrence, or the latest earlier
@@ -905,34 +752,6 @@ impl Host {
             }
         }
 
-        // Record the slow-path traversal as a template, or — on replay —
-        // reconcile the recorded hoist verdict with the live recomputation
-        // (the hoist cache's contents are not path-determined, so replay
-        // always trusts the live O(1) check; a disagreement counts as an
-        // invalidation).
-        let n_out_edges = self.out_edge_ids.len();
-        if let Some(cache) = self.templates.as_mut() {
-            match template_id {
-                Some(id) => {
-                    if cache.note_hoist(id, reused) {
-                        self.shared.telemetry.template_invalidated();
-                    }
-                }
-                None => {
-                    template_id = cache.record(
-                        path.blocks(),
-                        len,
-                        SelectionRecord {
-                            phi_winner: rec_phi,
-                            inputs: rec_inputs,
-                            hoist_hit: reused,
-                        },
-                        n_out_edges,
-                    );
-                }
-            }
-        }
-
         // Gating bookkeeping; a reused hoisted input's gate is pre-satisfied.
         let hoist_input = match self.kind {
             NodeKind::Join => Some(0),
@@ -966,7 +785,7 @@ impl Host {
 
         // Register the out-bag with per-edge send decisions.
         let mut edges = Vec::with_capacity(self.out_edge_ids.len());
-        for (ei, &e) in self.out_edge_ids.iter().enumerate() {
+        for &e in &self.out_edge_ids {
             if self.shared.rules.edges[e as usize].immediate {
                 let dst = self.shared.graph.edges[e as usize].dst;
                 let dst_n = self.shared.graph.instances(dst, self.shared.machines);
@@ -991,7 +810,6 @@ impl Host {
                     cursor: len,
                     buffer: Vec::new(),
                     opened_ns,
-                    hint: send_hints.get(ei).and_then(Clone::clone),
                 });
             }
         }
@@ -1002,11 +820,6 @@ impl Host {
                 finalized: false,
             },
         );
-        // Slow-path send resolutions of this bag fill into its template
-        // (a hit traversal can also fill entries still unrecorded).
-        if let Some(id) = template_id {
-            self.recording_sends.insert(len, id);
-        }
         Ok(())
     }
 
@@ -1801,10 +1614,10 @@ impl Host {
     ) -> Result<(), RuntimeError> {
         let mut to_flush: Vec<(u32, usize, Vec<Value>)> = Vec::new();
         let mut resolved_any = false;
-        // Bag order, not map order: concurrent in-flight bags share one
-        // template, and the first resolution to fill a send entry wins —
-        // iterating in bag order keeps that choice (and the invalidation
-        // counters) deterministic across runs and drivers.
+        // Bag order, not map order: `outbags` is a randomly seeded hash
+        // map, and the order resolutions are found in is the order their
+        // buffered elements are flushed. Sorting fixes the send order, and
+        // with it the simulator's event order, across runs and drivers.
         let mut lens: Vec<u32> = self.outbags.keys().copied().collect();
         lens.sort_unstable();
         for bag_len in lens {
@@ -1817,71 +1630,11 @@ impl Host {
                         cursor,
                         buffer,
                         opened_ns,
-                        hint,
                     } = &mut outbag.edges[ei]
                     else {
                         continue;
                     };
-                    // Template replay: verify the recorded resolution slice
-                    // incrementally. A full match applies the recorded
-                    // verdict at exactly the append the slow path would
-                    // resolve on; a divergence falls back to the scan from
-                    // the verified (provably non-resolving) prefix.
-                    let step = hint
-                        .as_mut()
-                        .map(|h| h.advance(path.blocks(), path.exited(), bag_len));
-                    let (d, next) = match step {
-                        Some(HintStep::Resolved { sent, next }) => (
-                            if sent {
-                                SendDecision::Send
-                            } else {
-                                SendDecision::Drop
-                            },
-                            next,
-                        ),
-                        Some(HintStep::Pending { cursor }) => (SendDecision::Undecided, cursor),
-                        Some(HintStep::Mismatch { cursor: from }) => {
-                            *hint = None;
-                            if let Some(cache) = self.templates.as_mut() {
-                                cache.invalidations += 1;
-                                self.shared.telemetry.template_invalidated();
-                            }
-                            self.shared.rules.decide_send(edge, path, bag_len, from)
-                        }
-                        None => {
-                            let (d, next) =
-                                self.shared.rules.decide_send(edge, path, bag_len, *cursor);
-                            if d != SendDecision::Undecided {
-                                // Fill the resolution into this bag's
-                                // template, when one is recording: replayable
-                                // iff it resolved on a block (not program
-                                // exit) within the window.
-                                if let (Some(&tid), Some(cache)) =
-                                    (self.recording_sends.get(&bag_len), self.templates.as_mut())
-                                {
-                                    let r = &self.shared.rules.edges[edge as usize];
-                                    let block_resolved = next > bag_len
-                                        && match d {
-                                            SendDecision::Send => true,
-                                            _ => r.drop_mask[path.get(next - 1) as usize],
-                                        };
-                                    let status = if block_resolved
-                                        && (next - bag_len) as usize <= template::WINDOW
-                                    {
-                                        SendStatus::Recorded {
-                                            slice: path.blocks()[bag_len as usize..next as usize]
-                                                .into(),
-                                            sent: d == SendDecision::Send,
-                                        }
-                                    } else {
-                                        SendStatus::Poisoned
-                                    };
-                                    cache.fill_send(tid, ei, status);
-                                }
-                            }
-                            (d, next)
-                        }
-                    };
+                    let (d, next) = self.shared.rules.decide_send(edge, path, bag_len, *cursor);
                     let buf_held = buffer.len() as u64;
                     let buf_bytes = elems_bytes(buffer);
                     let buffered = if d == SendDecision::Send {
@@ -1954,17 +1707,9 @@ impl Host {
         Ok(())
     }
 
-    /// Drops retired out-bags, along with their template send-recording
-    /// registrations.
+    /// Drops retired out-bags.
     fn retire_outbags(&mut self) {
-        let recording = &mut self.recording_sends;
-        self.outbags.retain(|len, b| {
-            let keep = !b.retired();
-            if !keep {
-                recording.remove(len);
-            }
-            keep
-        });
+        self.outbags.retain(|_, b| !b.retired());
     }
 
     /// Drains every full `cost.batch_elems` chunk of a streaming edge's

@@ -28,7 +28,6 @@ pub mod obs;
 pub mod path;
 pub mod relay;
 pub mod rt;
-pub mod template;
 pub mod thread_driver;
 pub mod worker;
 
@@ -46,6 +45,5 @@ pub use obs::{
 pub use path::{BagId, ExecutionPath, LoopInfo, LoopNest, PathRules, SendDecision};
 pub use relay::{Relay, ReliableNet};
 pub use rt::{EngineConfig, FaultPlan, Msg, RuntimeError, NS_PER_MS};
-pub use template::{Template, TemplateCache};
 pub use thread_driver::{run_threads, run_threads_live};
 pub use worker::Worker;

@@ -46,27 +46,18 @@ pub fn explain_report(result: &EngineResult) -> String {
         result.path.len(),
         result.hoist_hits,
         result.decisions,
-        (
-            result.template_hits,
-            result.template_misses,
-            result.template_invalidations,
-        ),
         result.millis(),
     )
 }
 
 /// [`explain_report`] over its constituent pieces, for callers (like the
-/// `mitos` facade) that hold the run data in another shape. The
-/// `templates` triple is (hits, misses, invalidations) from the
-/// control-plane template cache; all-zero (templates disabled or the run
-/// never started a bag) renders nothing, keeping such output byte-stable.
+/// `mitos` facade) that hold the run data in another shape.
 pub fn explain_parts(
     op_stats: &[crate::engine::OpStats],
     obs: Option<&super::ObsReport>,
     path_len: usize,
     hoist_hits: u64,
     decisions: u64,
-    templates: (u64, u64, u64),
     millis: f64,
 ) -> String {
     let mut out = String::new();
@@ -207,17 +198,6 @@ pub fn explain_parts(
                  for bag lifecycle and conditional-send counters)"
             );
         }
-    }
-    // Template-cache counters: only when the cache saw traffic, so runs
-    // with templates disabled keep byte-identical explain output.
-    let (t_hits, t_misses, t_inval) = templates;
-    if t_hits + t_misses + t_inval > 0 {
-        let rate = t_hits as f64 / (t_hits + t_misses).max(1) as f64;
-        let _ = writeln!(
-            out,
-            "templates: {t_hits} hit(s), {t_misses} miss(es), {t_inval} invalidation(s) \
-             (hit rate {rate:.2})",
-        );
     }
     let _ = writeln!(
         out,

@@ -61,11 +61,6 @@ pub struct OpTelemetry {
 pub struct TelemetryHub {
     workers: Vec<WorkerTelemetry>,
     ops: Vec<OpTelemetry>,
-    // Job-wide template-cache counters (all hosts, all machines): lookups
-    // that replayed, lookups that recorded, replays abandoned mid-bag.
-    template_hits: AtomicU64,
-    template_misses: AtomicU64,
-    template_invalidations: AtomicU64,
 }
 
 impl TelemetryHub {
@@ -74,28 +69,7 @@ impl TelemetryHub {
         TelemetryHub {
             workers: (0..machines).map(|_| WorkerTelemetry::default()).collect(),
             ops: (0..n_ops).map(|_| OpTelemetry::default()).collect(),
-            template_hits: AtomicU64::new(0),
-            template_misses: AtomicU64::new(0),
-            template_invalidations: AtomicU64::new(0),
         }
-    }
-
-    /// Records a template-cache lookup outcome (job-wide; called by hosts
-    /// on every bag start while templates are enabled).
-    #[inline]
-    pub fn template_lookup(&self, hit: bool) {
-        if hit {
-            self.template_hits.fetch_add(1, RELAXED);
-        } else {
-            self.template_misses.fetch_add(1, RELAXED);
-        }
-    }
-
-    /// Records a template replay abandoned mid-bag (send-hint divergence
-    /// or hoist disagreement).
-    #[inline]
-    pub fn template_invalidated(&self) {
-        self.template_invalidations.fetch_add(1, RELAXED);
     }
 
     /// Records a message handled by `machine`'s worker at time `now_ns`
@@ -234,11 +208,6 @@ impl TelemetryHub {
             ops,
             hot_edge: None,
             mem: None,
-            templates: (
-                self.template_hits.load(RELAXED),
-                self.template_misses.load(RELAXED),
-                self.template_invalidations.load(RELAXED),
-            ),
         }
     }
 }
@@ -319,10 +288,6 @@ pub struct Snapshot {
     /// ([`crate::obs::mem::MemRegistry::watch_cell`]); [`None`] before any
     /// residency (or when `MITOS_MEM_OFF` is set).
     pub mem: Option<(u64, u64)>,
-    /// Template-cache counters so far, as
-    /// `(hits, misses, invalidations)` — all zero when templates are
-    /// disabled or no bag has started yet.
-    pub templates: (u64, u64, u64),
 }
 
 impl Snapshot {
@@ -425,15 +390,6 @@ pub fn watch_table(s: &Snapshot, graph: &crate::graph::LogicalGraph) -> String {
             "resident state: {} (peak {})",
             super::flow::fmt_bytes(cur),
             super::flow::fmt_bytes(peak),
-        );
-    }
-    // Template-cache counters only appear once the cache saw traffic, so
-    // templates-off tables render exactly as before.
-    let (t_hits, t_misses, t_inval) = s.templates;
-    if t_hits + t_misses + t_inval > 0 {
-        let _ = writeln!(
-            out,
-            "templates: {t_hits} hit(s), {t_misses} miss(es), {t_inval} invalidation(s)",
         );
     }
     let per_worker: Vec<String> = s

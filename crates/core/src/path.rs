@@ -37,9 +37,16 @@ pub struct BagId {
 
 /// The (replicated) global execution path: the sequence of basic blocks the
 /// program's control flow has reached.
+///
+/// Alongside the blocks it keeps, per block, the ascending positions where
+/// that block occurs, so the input-bag rule's "latest occurrence of the
+/// producer's block" (5.2.3) is a lookup instead of a backward scan over an
+/// ever-growing path.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionPath {
     blocks: Vec<BlockId>,
+    /// `occurrences[b]` = positions of block `b`, ascending.
+    occurrences: Vec<Vec<u32>>,
     exited: bool,
 }
 
@@ -51,8 +58,14 @@ impl ExecutionPath {
 
     /// Appends a block occurrence; returns its position.
     pub fn append(&mut self, block: BlockId) -> u32 {
+        let pos = self.blocks.len() as u32;
         self.blocks.push(block);
-        (self.blocks.len() - 1) as u32
+        let b = block as usize;
+        if b >= self.occurrences.len() {
+            self.occurrences.resize_with(b + 1, Vec::new);
+        }
+        self.occurrences[b].push(pos);
+        pos
     }
 
     /// Marks that the program has exited (no more blocks will be appended).
@@ -86,13 +99,18 @@ impl ExecutionPath {
         &self.blocks
     }
 
-    /// The largest position `i < limit` with `path[i] == block`.
+    /// The largest position `i < limit` with `path[i] == block`: O(1) when
+    /// `limit` is past the block's latest occurrence (every live selection
+    /// on a growing path), O(log n) by binary search otherwise.
     pub fn last_occurrence_before(&self, block: BlockId, limit: u32) -> Option<u32> {
-        let limit = (limit as usize).min(self.blocks.len());
-        self.blocks[..limit]
-            .iter()
-            .rposition(|&b| b == block)
-            .map(|i| i as u32)
+        let occ = self.occurrences.get(block as usize)?;
+        match occ.last() {
+            Some(&last) if last < limit => Some(last),
+            _ => {
+                let n = occ.partition_point(|&p| p < limit);
+                n.checked_sub(1).map(|i| occ[i])
+            }
+        }
     }
 }
 
@@ -294,12 +312,6 @@ pub struct EdgeRules {
     /// no longer be reached without the producer's block recurring — the
     /// producer may discard the pending bag.
     pub drop_mask: Vec<bool>,
-    /// True when the producer's block lies in no loop: such a block occurs
-    /// at most once in any execution path, so its occurrence position is a
-    /// run constant (the path is append-only). The template cache uses
-    /// this to record loop-invariant selections absolutely
-    /// ([`crate::template::SelSlot::Absolute`]).
-    pub once: bool,
 }
 
 /// All static rule data derived from a logical graph.
@@ -314,7 +326,6 @@ impl PathRules {
     pub fn build(graph: &LogicalGraph) -> PathRules {
         let succs = graph.func.successors();
         let n_blocks = graph.func.block_count();
-        let nest = LoopNest::build(&graph.func);
         let edges = graph
             .edges
             .iter()
@@ -336,12 +347,6 @@ impl PathRules {
                     dst_stmt: dst.stmt_idx,
                     immediate,
                     drop_mask,
-                    once: nest
-                        .loop_of_block
-                        .get(src.block as usize)
-                        .copied()
-                        .flatten()
-                        .is_none(),
                 }
             })
             .collect();
@@ -453,6 +458,7 @@ mod tests {
     use super::*;
     use crate::graph::LogicalGraph;
     use mitos_ir::compile_str;
+    use proptest::prelude::*;
 
     fn setup(src: &str) -> (LogicalGraph, PathRules) {
         let g = LogicalGraph::build(&compile_str(src).unwrap()).unwrap();
@@ -487,6 +493,47 @@ mod tests {
         assert_eq!(p.last_occurrence_before(1, 3), Some(1));
         assert_eq!(p.last_occurrence_before(1, 1), None);
         assert_eq!(p.last_occurrence_before(9, 5), None);
+    }
+
+    /// The backward scan the occurrence index replaced, kept as the
+    /// reference the indexed lookup is checked against.
+    fn scan_last_occurrence_before(blocks: &[BlockId], block: BlockId, limit: u32) -> Option<u32> {
+        let limit = (limit as usize).min(blocks.len());
+        blocks[..limit]
+            .iter()
+            .rposition(|&b| b == block)
+            .map(|i| i as u32)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// On random paths, for present and absent blocks and every limit
+        /// from 0 to `len + 2`, the indexed lookup equals the backward
+        /// scan — also when asked again after the path grew.
+        #[test]
+        fn indexed_lookup_matches_backward_scan(
+            first in prop::collection::vec(0u32..6, 0..48),
+            more in prop::collection::vec(0u32..6, 0..24),
+        ) {
+            let mut p = ExecutionPath::new();
+            let mut blocks = Vec::new();
+            for chunk in [first, more] {
+                for b in chunk {
+                    p.append(b);
+                    blocks.push(b);
+                }
+                // Blocks 6, 7 and `BlockId::MAX` never occur.
+                for block in (0..8).chain([BlockId::MAX]) {
+                    for limit in 0..=blocks.len() as u32 + 2 {
+                        prop_assert_eq!(
+                            p.last_occurrence_before(block, limit),
+                            scan_last_occurrence_before(&blocks, block, limit)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

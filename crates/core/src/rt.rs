@@ -35,15 +35,6 @@ pub struct EngineConfig {
     /// operators collapse into one fused node, eliminating the per-edge
     /// data/punctuation traffic between them.
     pub fusion: bool,
-    /// Execution templates (Mashayekhi et al., OSDI '17, adapted): each
-    /// host caches the control-plane decisions of the first traversal of a
-    /// basic-block path suffix (input-bag selections, conditional-send
-    /// verdicts, hoist outcomes) and replays them on repeat traversals,
-    /// validating the cached key and falling back to the slow path on any
-    /// mismatch (see [`crate::template`]). Replay charges no virtual time
-    /// and emits the same events, so results are bit-identical either way;
-    /// only wall-clock cost and the hit/miss counters differ.
-    pub templates: bool,
     /// Cost model for CPU/IO charging.
     pub cost: CostModel,
     /// Extra virtual ns charged by the barrier per released position —
@@ -86,7 +77,6 @@ impl Default for EngineConfig {
             pipelined: true,
             hoisting: true,
             fusion: true,
-            templates: true,
             cost: CostModel::default(),
             extra_step_overhead_ns: 0,
             max_path_len: 10_000_000,
@@ -119,13 +109,6 @@ impl EngineConfig {
     /// Sets operator chain fusion.
     pub fn with_fusion(mut self, on: bool) -> Self {
         self.fusion = on;
-        self
-    }
-
-    /// Sets control-plane execution templates (record/replay of per-step
-    /// selection decisions; see [`crate::template`]).
-    pub fn with_templates(mut self, on: bool) -> Self {
-        self.templates = on;
         self
     }
 

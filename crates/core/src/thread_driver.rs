@@ -425,9 +425,6 @@ pub fn run_threads_live(
     let op_stats = crate::engine::collect_op_stats(&shared.graph, &workers, machines);
     let path = workers[0].path().blocks().to_vec();
     let hoist_hits = workers.iter().map(Worker::hoist_hits).sum();
-    let template_hits = workers.iter().map(Worker::template_hits).sum();
-    let template_misses = workers.iter().map(Worker::template_misses).sum();
-    let template_invalidations = workers.iter().map(Worker::template_invalidations).sum();
     let decisions = workers.iter().map(|w| w.decisions_broadcast).sum();
     let data_messages = workers.iter().map(|w| w.data_messages).sum();
     let level = shared.config.obs;
@@ -451,9 +448,9 @@ pub fn run_threads_live(
         path,
         sim,
         hoist_hits,
-        template_hits,
-        template_misses,
-        template_invalidations,
+        template_hits: 0,
+        template_misses: 0,
+        template_invalidations: 0,
         decisions,
         data_messages,
         op_stats,

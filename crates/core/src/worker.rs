@@ -141,21 +141,6 @@ impl Worker {
         self.hosts.iter().map(|h| h.emitted_elements).sum()
     }
 
-    /// Aggregated execution-template replay hits across local hosts.
-    pub fn template_hits(&self) -> u64 {
-        self.hosts.iter().map(Host::template_hits).sum()
-    }
-
-    /// Aggregated execution-template misses across local hosts.
-    pub fn template_misses(&self) -> u64 {
-        self.hosts.iter().map(Host::template_misses).sum()
-    }
-
-    /// Aggregated execution-template invalidations across local hosts.
-    pub fn template_invalidations(&self) -> u64 {
-        self.hosts.iter().map(Host::template_invalidations).sum()
-    }
-
     /// Per-local-host statistics: `(op, emitted elements, hoisting hits)`.
     pub fn host_stats(&self) -> Vec<(crate::graph::OpId, u64, u64)> {
         self.hosts

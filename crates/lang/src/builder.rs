@@ -52,8 +52,8 @@ impl ProgramBuilder {
         then: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
         els: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
     ) -> Self {
-        let then_body = then(ProgramBuilder::new()).stmts;
-        let else_body = els(ProgramBuilder::new()).stmts;
+        let then_body = block(then);
+        let else_body = block(els);
         self.stmts.push(Stmt::If {
             cond,
             then_body,
@@ -77,7 +77,7 @@ impl ProgramBuilder {
         cond: SurfExpr,
         body: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
     ) -> Self {
-        let body = body(ProgramBuilder::new()).stmts;
+        let body = block(body);
         self.stmts.push(Stmt::While { cond, body });
         self
     }
@@ -88,7 +88,7 @@ impl ProgramBuilder {
         body: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
         cond: SurfExpr,
     ) -> Self {
-        let body = body(ProgramBuilder::new()).stmts;
+        let body = block(body);
         self.stmts.push(Stmt::DoWhile { body, cond });
         self
     }
@@ -105,7 +105,7 @@ impl ProgramBuilder {
         let var: Arc<str> = Arc::from(var.as_ref());
         self.fresh += 1;
         let end: Arc<str> = Arc::from(format!("__built_for_end{}", self.fresh).as_str());
-        let mut stmts = body(ProgramBuilder::new()).stmts;
+        let mut stmts = block(body);
         stmts.push(Stmt::Assign {
             name: var.clone(),
             value: SurfExpr::bin(BinOp::Add, SurfExpr::Var(var.clone()), SurfExpr::lit(1i64)),
@@ -146,6 +146,21 @@ impl ProgramBuilder {
     }
 }
 
+/// Runs `body` on a fresh builder and returns the statements it built.
+///
+/// Kept out of line on purpose. When `if_else` built both branches inline,
+/// rustc 1.95.0's MIR GVN pass merged the two identical
+/// `ProgramBuilder::new()` arguments into one local. A by-value argument is
+/// passed by reference, so the `then` closure's pushes landed in that shared
+/// local, the `else` closure received the same `Vec`, and it was freed twice
+/// (a segfault or "double free" at opt-level 2 and 3; rustc 1.97 nightly and
+/// `-Zmir-enable-passes=-GVN` do not show it). One fresh builder per call
+/// leaves GVN nothing to merge.
+#[inline(never)]
+fn block(body: impl FnOnce(ProgramBuilder) -> ProgramBuilder) -> Vec<Stmt> {
+    body(ProgramBuilder::new()).stmts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +180,29 @@ mod tests {
         let parsed =
             parse("x = 1; if ((x > 0)) { y = 10; } else { y = 20; } output(y, \"y\");").unwrap();
         assert_eq!(built, parsed);
+    }
+
+    #[test]
+    fn if_else_with_one_empty_branch_builds_in_release() {
+        // Minimal reproducer of the release-mode double free described on
+        // `block`: it crashed at opt-level 2 and 3 before the fix.
+        let p = ProgramBuilder::new()
+            .if_else(
+                SurfExpr::lit(1i64),
+                |b| b.assign("y", SurfExpr::lit(10i64)),
+                |b| b,
+            )
+            .build();
+        let Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } = &p.stmts[0]
+        else {
+            panic!("expected an if statement: {p:?}");
+        };
+        assert_eq!(then_body.len(), 1);
+        assert!(else_body.is_empty());
     }
 
     #[test]

@@ -159,17 +159,6 @@ pub struct Outcome {
     /// reference interpreter, which have no Mitos state to account). See
     /// [`Outcome::mem`].
     pub mem: Option<MemReport>,
-    /// Control-plane template-cache lookups that replayed a recorded
-    /// decision sequence (Mitos engines only; 0 otherwise, and 0 when
-    /// templates are disabled). See [`Outcome::template_hit_rate`].
-    pub template_hits: u64,
-    /// Template-cache lookups that found no matching path suffix and fell
-    /// through to the slow path (recording a fresh template).
-    pub template_misses: u64,
-    /// Recorded template entries discarded mid-replay because the live
-    /// run diverged from the recording (conditional-send slice mismatch,
-    /// hoist disagreement).
-    pub template_invalidations: u64,
 }
 
 impl Outcome {
@@ -190,27 +179,8 @@ impl Outcome {
             self.path.len(),
             self.op_stats.iter().map(|s| s.hoist_hits).sum(),
             self.decisions,
-            (
-                self.template_hits,
-                self.template_misses,
-                self.template_invalidations,
-            ),
             self.millis(),
         )
-    }
-
-    /// Fraction of template-cache lookups that hit:
-    /// `hits / (hits + misses)`, or 0.0 when the cache saw no lookups
-    /// (templates disabled, a non-Mitos engine, or a run that never
-    /// started a bag). Deterministic under the simulated engines — bag
-    /// starts follow the execution path, not data timing.
-    pub fn template_hit_rate(&self) -> f64 {
-        let lookups = self.template_hits + self.template_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.template_hits as f64 / lookups as f64
-        }
     }
 
     /// Renders the run's event stream as Chrome trace-event JSON (load in
@@ -479,19 +449,6 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Enables or disables the control-plane template cache on the run's
-    /// [`EngineConfig`] (shorthand for [`EngineConfig::with_templates`];
-    /// on by default). Templates cache per-step coordination decisions
-    /// keyed by the execution-path suffix and replay them on repeat
-    /// traversals — results, execution paths, and telemetry are
-    /// bit-identical either way; only the [`Outcome::template_hits`] /
-    /// [`Outcome::template_misses`] / [`Outcome::template_invalidations`]
-    /// counters (and wall-clock coordination cost) change.
-    pub fn templates(mut self, on: bool) -> Self {
-        self.config = self.config.with_templates(on);
-        self
-    }
-
     /// Runs the program. File effects land in `fs`.
     pub fn execute(self, fs: &InMemoryFs) -> Result<Outcome, Error> {
         let Run {
@@ -580,9 +537,6 @@ impl<'a> Run<'a> {
                     flow: Some(r.flow),
                     data_messages: r.data_messages,
                     mem: Some(r.mem),
-                    template_hits: r.template_hits,
-                    template_misses: r.template_misses,
-                    template_invalidations: r.template_invalidations,
                 })
             }
             Engine::FlinkNative => {
@@ -598,9 +552,6 @@ impl<'a> Run<'a> {
                     flow: None,
                     data_messages: 0,
                     mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
                 })
             }
             Engine::FlinkSeparateJobs => {
@@ -616,9 +567,6 @@ impl<'a> Run<'a> {
                     flow: None,
                     data_messages: 0,
                     mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
                 })
             }
             Engine::Spark => {
@@ -639,9 +587,6 @@ impl<'a> Run<'a> {
                     flow: None,
                     data_messages: 0,
                     mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
                 })
             }
             Engine::MitosThreads => {
@@ -664,9 +609,6 @@ impl<'a> Run<'a> {
                     flow: Some(r.flow),
                     data_messages: r.data_messages,
                     mem: Some(r.mem),
-                    template_hits: r.template_hits,
-                    template_misses: r.template_misses,
-                    template_invalidations: r.template_invalidations,
                 })
             }
             Engine::Reference => {
@@ -687,9 +629,6 @@ impl<'a> Run<'a> {
                     flow: None,
                     data_messages: 0,
                     mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
                 })
             }
         }

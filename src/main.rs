@@ -23,15 +23,13 @@ fn usage() -> ! {
          mitos-nohoist|flink|flink-jobs|spark|threads|reference]\n             \
          [--input name=path]... [--output-dir dir]\n             \
          [--explain] [--trace out.json] [--metrics-out out.prom] [--no-fuse]\n             \
-         [--no-templates] [--progress] [--watch] [--interval MS] [--deadline MS]\n             \
+         [--progress] [--watch] [--interval MS] [--deadline MS]\n             \
          [--fault-drop P] [--fault-dup P] [--fault-reorder P]\n             \
          [--fault-partition A:B:FROM_MS:UNTIL_MS]... [--fault-seed N] [--fault-no-retransmit]\n          \
          # --progress: one live status line per interval (stderr)\n          \
          # --watch: live per-operator table per interval (stderr)\n          \
          # --deadline: stall watchdog; no progress for MS ms aborts with exit 2\n          \
          # --no-fuse: disable operator chain fusion in the physical planner\n          \
-         # --no-templates: disable the control-plane template cache (results\n          \
-         #   are bit-identical either way; Mitos engines only)\n          \
          # --fault-*: seeded deterministic fault injection (Mitos engines only);\n          \
          #   drop/dup/reorder are per-message probabilities in [0,1]; recovery runs\n          \
          #   an at-least-once retransmission protocol unless --fault-no-retransmit,\n          \
@@ -130,18 +128,13 @@ fn explain_json(
         out,
         "{{\"engine\":{},\"machines\":{machines},\"millis\":{:.6},\
          \"path_blocks\":{},\"decisions\":{},\"hoist_hits\":{},\
-         \"data_messages\":{},\"template_hits\":{},\"template_misses\":{},\
-         \"template_invalidations\":{},\"template_hit_rate\":{:.6},",
+         \"data_messages\":{},",
         json_str(&engine.to_string()),
         outcome.millis(),
         outcome.path.len(),
         outcome.decisions,
         outcome.op_stats.iter().map(|s| s.hoist_hits).sum::<u64>(),
         outcome.data_messages,
-        outcome.template_hits,
-        outcome.template_misses,
-        outcome.template_invalidations,
-        outcome.template_hit_rate(),
     );
     out.push_str("\"ops\":[");
     for (i, s) in outcome.op_stats.iter().enumerate() {
@@ -385,7 +378,6 @@ fn main() -> ExitCode {
             let mut report = ReportOpts::default();
             let mut combiners = false;
             let mut no_fuse = false;
-            let mut no_templates = false;
             let mut progress = false;
             let mut watch = false;
             let mut interval_ms: u64 = 200;
@@ -465,7 +457,6 @@ fn main() -> ExitCode {
                     "--json" | "--dot" if report_cmd => report.consume(&args, &mut i),
                     "--combiners" => combiners = true,
                     "--no-fuse" => no_fuse = true,
-                    "--no-templates" => no_templates = true,
                     "--progress" => progress = true,
                     "--watch" => watch = true,
                     "--interval" => {
@@ -569,11 +560,7 @@ fn main() -> ExitCode {
             let live_requested = progress || watch || deadline_ms.is_some();
             // Every report subcommand reads Mitos-only instrumentation, so
             // they share one engine gate with one exit code.
-            if (report_cmd
-                || trace_path.is_some()
-                || metrics_out.is_some()
-                || live_requested
-                || no_templates)
+            if (report_cmd || trace_path.is_some() || metrics_out.is_some() || live_requested)
                 && !obs_capable
             {
                 let what = if explain_cmd {
@@ -590,10 +577,8 @@ fn main() -> ExitCode {
                     "--trace"
                 } else if metrics_out.is_some() {
                     "--metrics-out"
-                } else if live_requested {
-                    "--progress/--watch/--deadline"
                 } else {
-                    "--no-templates"
+                    "--progress/--watch/--deadline"
                 };
                 eprintln!(
                     "error: {what} requires a Mitos engine \
@@ -664,7 +649,6 @@ fn main() -> ExitCode {
             };
             let engine_cfg = EngineConfig::new()
                 .with_fusion(!no_fuse)
-                .with_templates(!no_templates)
                 .with_faults(faults);
             // The watch table indexes operators by id, so it must see the
             // plan the engine actually runs (post-fusion).
@@ -833,29 +817,6 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         };
                         let mut prom = histos.prometheus();
-                        // Control-plane template-cache series.
-                        prom.push_str(
-                            "# HELP mitos_template_lookups_total Template-cache lookup \
-                             outcomes by bag starts.\n\
-                             # TYPE mitos_template_lookups_total counter\n",
-                        );
-                        prom.push_str(&format!(
-                            "mitos_template_lookups_total{{outcome=\"hit\"}} {}\n\
-                             mitos_template_lookups_total{{outcome=\"miss\"}} {}\n\
-                             mitos_template_lookups_total{{outcome=\"invalidation\"}} {}\n",
-                            outcome.template_hits,
-                            outcome.template_misses,
-                            outcome.template_invalidations,
-                        ));
-                        prom.push_str(
-                            "# HELP mitos_template_hit_rate Fraction of bag starts \
-                             served by template replay.\n\
-                             # TYPE mitos_template_hit_rate gauge\n",
-                        );
-                        prom.push_str(&format!(
-                            "mitos_template_hit_rate {:.6}\n",
-                            outcome.template_hit_rate()
-                        ));
                         // Per-edge flow and per-class residency series ride
                         // along with the phase histograms in the same
                         // exposition file.

@@ -679,185 +679,15 @@ fn trace_tree_json_is_valid_and_deterministic() {
 }
 
 #[test]
-fn no_templates_run_is_bit_identical() {
-    // The template cache is a pure control-plane memoization: `mitos run`
-    // output — results and the virtual-time summary — must be bit-identical
-    // with the cache on (default), off via --no-templates, and off via the
-    // MITOS_TEMPLATES_OFF kill switch.
-    let program = write_temp("prog26.mt", PROGRAM);
-    let data = write_temp(
-        "visits26.txt",
-        &(0..30).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let input = format!("visits={}", data.display());
-    let run = |extra: &[&str], kill: bool| -> String {
-        let mut args = vec![
-            "run",
-            program.to_str().unwrap(),
-            "--machines",
-            "3",
-            "--input",
-        ];
-        args.push(&input);
-        args.extend_from_slice(extra);
-        let mut cmd = mitos();
-        cmd.env_remove("MITOS_TEMPLATES_OFF");
-        if kill {
-            cmd.env("MITOS_TEMPLATES_OFF", "1");
-        }
-        let output = cmd.args(&args).output().unwrap();
-        assert!(output.status.success(), "{extra:?} kill={kill}: {output:?}");
-        String::from_utf8_lossy(&output.stdout).to_string()
-    };
-    let on = run(&[], false);
-    let flag_off = run(&["--no-templates"], false);
-    let env_off = run(&[], true);
-    assert_eq!(on, flag_off, "--no-templates must not change run output");
-    assert_eq!(
-        on, env_off,
-        "MITOS_TEMPLATES_OFF must not change run output"
-    );
-}
-
-#[test]
-fn no_templates_is_uniform_across_subcommands() {
-    let program = write_temp("prog27.mt", PROGRAM);
-    let data = write_temp(
-        "visits27.txt",
-        &(0..20).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let input = format!("visits={}", data.display());
-    // Every report subcommand accepts --no-templates and still succeeds.
-    for cmd in ["explain", "flow", "mem", "profile", "trace-tree"] {
-        let output = mitos()
-            .args([
-                cmd,
-                program.to_str().unwrap(),
-                "--input",
-                &input,
-                "--no-templates",
-            ])
-            .output()
-            .unwrap();
-        assert!(output.status.success(), "{cmd}: {output:?}");
-    }
-    // And like every other Mitos-only knob, the flag refuses non-Mitos
-    // engines with exit 2 and a message naming itself.
-    for engine in ["spark", "flink-jobs", "reference"] {
-        let output = mitos()
-            .args([
-                "run",
-                program.to_str().unwrap(),
-                "--engine",
-                engine,
-                "--no-templates",
-            ])
-            .output()
-            .unwrap();
-        assert_eq!(output.status.code(), Some(2), "{engine}: {output:?}");
-        let err = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            err.contains("--no-templates requires a Mitos engine"),
-            "{engine}: {err}"
-        );
-    }
-}
-
-#[test]
-fn explain_reports_template_counters() {
-    let program = write_temp("prog28.mt", PROGRAM);
-    let data = write_temp(
-        "visits28.txt",
-        &(0..20).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let input = format!("visits={}", data.display());
-    let run_json = |extra: &[&str]| -> String {
-        let mut args = vec!["explain", program.to_str().unwrap(), "--input"];
-        args.push(&input);
-        args.push("--json");
-        args.extend_from_slice(extra);
-        let output = mitos()
-            .env_remove("MITOS_TEMPLATES_OFF")
-            .args(&args)
-            .output()
-            .unwrap();
-        assert!(output.status.success(), "{extra:?}: {output:?}");
-        String::from_utf8_lossy(&output.stdout).to_string()
-    };
-    let field = |text: &str, name: &str| -> u64 {
-        let at = text
-            .find(&format!("\"{name}\":"))
-            .unwrap_or_else(|| panic!("missing {name}: {text}"));
-        text[at + name.len() + 3..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    let on = run_json(&[]);
-    mitos::core::obs::validate_json(&on).unwrap_or_else(|e| panic!("{e}\n{on}"));
-    assert!(on.contains("\"template_hit_rate\":"), "{on}");
-    // Templates on (the default): the cache was consulted — every bag
-    // start is a hit or a miss.
-    assert!(
-        field(&on, "template_hits") + field(&on, "template_misses") > 0,
-        "{on}"
-    );
-    // Templates off: all three counters must be exactly zero.
-    let off = run_json(&["--no-templates"]);
-    for name in ["template_hits", "template_misses", "template_invalidations"] {
-        assert_eq!(
-            field(&off, name),
-            0,
-            "{name} nonzero with templates off: {off}"
-        );
-    }
-    // The human-readable report prints the counter line only when the
-    // cache was active, keeping templates-off output byte-stable.
-    let text_on = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
-        .args(["explain", program.to_str().unwrap(), "--input", &input])
-        .output()
-        .unwrap();
-    assert!(text_on.status.success(), "{text_on:?}");
-    let err = String::from_utf8_lossy(&text_on.stderr);
-    let out = String::from_utf8_lossy(&text_on.stdout);
-    assert!(
-        err.contains("templates:") || out.contains("templates:"),
-        "explain must surface template counters: {err}\n{out}"
-    );
-    let text_off = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
-        .args([
-            "explain",
-            program.to_str().unwrap(),
-            "--input",
-            &input,
-            "--no-templates",
-        ])
-        .output()
-        .unwrap();
-    assert!(text_off.status.success(), "{text_off:?}");
-    let err = String::from_utf8_lossy(&text_off.stderr);
-    let out = String::from_utf8_lossy(&text_off.stdout);
-    assert!(
-        !err.contains("templates:") && !out.contains("templates:"),
-        "templates-off explain must not print a counter line: {err}\n{out}"
-    );
-}
-
-#[test]
-fn metrics_out_exports_template_series() {
+fn metrics_out_exports_phase_flow_and_mem_series() {
     let program = write_temp("prog29.mt", PROGRAM);
     let data = write_temp(
         "visits29.txt",
         &(0..20).map(|i| format!("{i}\n")).collect::<String>(),
     );
-    let prom_path = std::env::temp_dir().join("mitos-cli-tests/templates29.prom");
+    let prom_path = std::env::temp_dir().join("mitos-cli-tests/metrics29.prom");
     let _ = std::fs::remove_file(&prom_path);
     let output = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
         .args([
             "run",
             program.to_str().unwrap(),
@@ -870,15 +700,13 @@ fn metrics_out_exports_template_series() {
         .unwrap();
     assert!(output.status.success(), "{output:?}");
     let prom = std::fs::read_to_string(&prom_path).unwrap();
-    assert!(
-        prom.contains("mitos_template_lookups_total{outcome=\"hit\"}"),
-        "{prom}"
-    );
-    assert!(
-        prom.contains("mitos_template_lookups_total{outcome=\"miss\"}"),
-        "{prom}"
-    );
-    assert!(prom.contains("mitos_template_hit_rate"), "{prom}");
+    for series in [
+        "# TYPE mitos_phase_latency_ns histogram",
+        "# TYPE mitos_edge_bytes_total counter",
+        "# TYPE mitos_mem_resident_bytes gauge",
+    ] {
+        assert!(prom.contains(series), "missing {series}:\n{prom}");
+    }
 }
 
 #[test]

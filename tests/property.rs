@@ -278,28 +278,6 @@ fn engines_agree(program: &Program, machines: u16, seed: u64) {
     }
 }
 
-/// Runs `func` on `engine` with the control-plane template cache switched
-/// per `templates`, under adversarial jitter, returning the outcome.
-fn run_with_templates(
-    func: &mitos::ir::FuncIr,
-    engine: Engine,
-    machines: u16,
-    seed: u64,
-    templates: bool,
-    src: &str,
-) -> mitos::Outcome {
-    let fs = InMemoryFs::new();
-    let mut cluster = SimConfig::with_machines(machines);
-    cluster.seed = seed;
-    cluster.jitter_pct = 35;
-    Run::new(func)
-        .engine(engine)
-        .cluster(cluster)
-        .config(EngineConfig::new().with_templates(templates))
-        .execute(&fs)
-        .unwrap_or_else(|e| panic!("{engine} (templates={templates}): {e}\n{src}"))
-}
-
 /// Runs `func` on `engine` with chain fusion switched per `fusion`, under
 /// adversarial jitter, returning the outcome.
 fn run_with_fusion(
@@ -391,46 +369,6 @@ proptest! {
             prop_assert_eq!(
                 &fused.path, &unfused.path,
                 "{} path diverged under fusion on:\n{}", engine, src
-            );
-        }
-    }
-
-    /// The execution-template cache is a pure control-plane memoization:
-    /// every random program produces identical outputs, the identical
-    /// control-flow path, and the identical data-plane message count with
-    /// templates on and off, on both the simulated and the thread-backed
-    /// engine, under adversarial network jitter. Replayed decisions must be
-    /// indistinguishable from recomputed ones.
-    #[test]
-    fn templates_never_change_results(
-        program in arb_program(),
-        machines in 1u16..5,
-        seed in 0u64..1000,
-    ) {
-        let src = program.to_string();
-        let func = mitos::ir::compile(&program)
-            .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        for engine in [Engine::Mitos, Engine::MitosThreads] {
-            let on = run_with_templates(&func, engine, machines, seed, true, &src);
-            let off = run_with_templates(&func, engine, machines, seed, false, &src);
-            prop_assert_eq!(
-                &on.outputs, &off.outputs,
-                "{} outputs diverged under templates on:\n{}", engine, src
-            );
-            prop_assert_eq!(
-                &on.path, &off.path,
-                "{} path diverged under templates on:\n{}", engine, src
-            );
-            prop_assert_eq!(
-                on.data_messages, off.data_messages,
-                "{} data-plane message count diverged under templates on:\n{}",
-                engine, src
-            );
-            // The off-run must not have touched the cache at all.
-            prop_assert_eq!(
-                (off.template_hits, off.template_misses, off.template_invalidations),
-                (0, 0, 0),
-                "{} templates-off run recorded cache activity on:\n{}", engine, src
             );
         }
     }
